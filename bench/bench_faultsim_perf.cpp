@@ -1,15 +1,18 @@
-// PERF-FAULTSIM — performance trajectory of the fault-simulation engine.
+// PERF-FAULTSIM — performance trajectory of the fault-simulation engines.
 //
 // Three comparisons, all on the generated benchmark suite:
 //  (1) PPSFP: serial (num_threads=1) vs sharded (one worker per hardware
-//      thread) run_block over full-scan expansions, up to the largest
-//      generated netlist;
-//  (2) sequential: the old full-resimulation-per-fault simulator vs the
-//      event-driven divergence-carrying engine (serial and sharded) on the
-//      EXP-SEQATPG circuits and a non-scan datapath expansion;
-//  (3) soa: the compiled SoA core's wide-lane grading (64 vs 256 vs 512
-//      pattern lanes) on the detection-matrix and dropping workloads,
-//      plus the one-time lowering cost and thread scaling.
+//      thread) fault-dropping grading over full-scan expansions, up to the
+//      largest generated netlist;
+//  (2) sequential: the reference full-resimulation-per-fault simulator vs
+//      the dense SimGraph engine (serial and sharded) on the EXP-SEQATPG
+//      circuits and non-scan datapath expansions;
+//  (3) soa: the detection-matrix width rule — nine 1-block matrices (the
+//      64-lane engine) against one 9-block matrix (the 512-lane engine,
+//      one full and one padded pass), the dropping grade, the one-time
+//      lowering cost, and the 9-block matrix across thread counts;
+// plus the recording overhead of the ledger, provenance, telemetry and
+// the scraped observability endpoint on the same engine shapes.
 //
 // Results go to stdout and to BENCH_faultsim.json (schema documented in
 // docs/faultsim.md) so the perf trajectory is tracked from PR to PR.
@@ -24,6 +27,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cdfg/generator.h"
@@ -156,13 +160,13 @@ struct SeqRow {
   std::string circuit;
   std::size_t faults = 0;
   int frames = 0;
-  double full_resim_ms = 0, event_serial_ms = 0, event_parallel_ms = kSkipped;
+  double full_resim_ms = 0, dense_serial_ms = 0, dense_parallel_ms = kSkipped;
   long detected = 0;
   double speedup_algorithmic() const {
-    return event_serial_ms > 0 ? full_resim_ms / event_serial_ms : kSkipped;
+    return dense_serial_ms > 0 ? full_resim_ms / dense_serial_ms : kSkipped;
   }
   double speedup_total() const {
-    return event_parallel_ms > 0 ? full_resim_ms / event_parallel_ms
+    return dense_parallel_ms > 0 ? full_resim_ms / dense_parallel_ms
                                  : kSkipped;
   }
 };
@@ -203,13 +207,11 @@ PpsfpRow ppsfp_case(const std::string& name, const gl::Netlist& n,
   return row;
 }
 
-/// Aggregate row over a set of tiny circuits: each engine runs the whole
-/// set reps_inner times per timing sample so the sub-millisecond campaigns
-/// are measurable. Reported times are per one pass over the set.
-SeqRow seq_suite_case(const std::string& name,
-                      const std::vector<gl::Netlist>& circs,
-                      const std::vector<int>& nframes, int reps_inner,
-                      int reps) {
+/// One row over a set of circuits (often just one): each engine runs the
+/// whole set reps_inner times per timing sample so sub-millisecond
+/// campaigns are measurable. Reported times are per one pass over the set.
+SeqRow seq_case(const std::string& name, const std::vector<gl::Netlist>& circs,
+                const std::vector<int>& nframes, int reps_inner, int reps) {
   std::vector<std::vector<gl::Fault>> faults;
   std::vector<std::vector<std::vector<gl::Bits>>> frames;
   SeqRow row;
@@ -234,7 +236,7 @@ SeqRow seq_suite_case(const std::string& name,
   }
   // Interleave the two engines' timing samples so slow phases of the host
   // machine hit both rather than biasing whichever ran second.
-  double best_full = 1e300, best_event = 1e300;
+  double best_full = 1e300, best_dense = 1e300;
   for (int t = 0; t < reps; ++t) {
     best_full = std::min(
         best_full, time_ms([&] {
@@ -243,8 +245,8 @@ SeqRow seq_suite_case(const std::string& name,
               got = gl::sequential_fault_sim_full_resim(circs[c], frames[c],
                                                         faults[c]);
         }));
-    best_event = std::min(
-        best_event, time_ms([&] {
+    best_dense = std::min(
+        best_dense, time_ms([&] {
           for (int r = 0; r < reps_inner; ++r)
             for (std::size_t c = 0; c < circs.size(); ++c)
               got = gl::sequential_fault_sim(circs[c], frames[c], faults[c],
@@ -252,13 +254,13 @@ SeqRow seq_suite_case(const std::string& name,
         }));
   }
   row.full_resim_ms = best_full / reps_inner;
-  row.event_serial_ms = best_event / reps_inner;
+  row.dense_serial_ms = best_dense / reps_inner;
   for (std::size_t c = 0; c < circs.size(); ++c) {
     got = gl::sequential_fault_sim(circs[c], frames[c], faults[c],
                                    gl::FaultSimOptions{0});
     mismatch = mismatch || got != base[c];
   }
-  row.event_parallel_ms =
+  row.dense_parallel_ms =
       single_core()
           ? kSkipped
           : time_ms(
@@ -279,99 +281,46 @@ SeqRow seq_suite_case(const std::string& name,
   return row;
 }
 
-SeqRow seq_case(const std::string& name, const gl::Netlist& n,
-                int frames_count, int reps) {
-  const auto faults = gl::enumerate_faults(n);
-  const auto frames = gl::lfsr_pattern_blocks(
-      static_cast<int>(n.primary_inputs().size()), frames_count, 0xFACE);
-  SeqRow row;
-  row.circuit = name;
-  row.faults = faults.size();
-  row.frames = frames_count;
-
-  std::vector<bool> base, event_serial, event_parallel;
-  // Interleaved sampling — see seq_suite_case.
-  double best_full = 1e300, best_event = 1e300;
-  for (int t = 0; t < reps; ++t) {
-    best_full = std::min(best_full, time_ms([&] {
-      base = gl::sequential_fault_sim_full_resim(n, frames, faults);
-    }));
-    best_event = std::min(best_event, time_ms([&] {
-      event_serial =
-          gl::sequential_fault_sim(n, frames, faults, gl::FaultSimOptions{1});
-    }));
-  }
-  row.full_resim_ms = best_full;
-  row.event_serial_ms = best_event;
-  event_parallel =
-      gl::sequential_fault_sim(n, frames, faults, gl::FaultSimOptions{0});
-  row.event_parallel_ms =
-      single_core() ? kSkipped
-                    : time_ms(
-                          [&] {
-                            event_parallel = gl::sequential_fault_sim(
-                                n, frames, faults, gl::FaultSimOptions{0});
-                          },
-                          reps);
-  if (base != event_serial || base != event_parallel)
-    std::fprintf(stderr, "WARNING: %s sequential result mismatch\n",
-                 name.c_str());
-  for (bool d : base) row.detected += d;
-  return row;
-}
-
-struct LedgerRow {
+/// One recording-overhead row: a campaign timed with a layer off vs on.
+/// `extras` are the section's own counts, written before the timings.
+struct OverheadRow {
   std::string case_name;
-  long events = 0;  ///< ledger events one enabled run records
+  std::vector<std::pair<std::string, std::string>> extras;
   double off_ms = 0, on_ms = 0;
   double overhead_pct = 0;  ///< median paired difference / best off pass
 };
 
-/// Times one campaign with the fault-lifecycle ledger disabled vs enabled.
-/// Both arms pay the ledger_reset() so the only difference is recording.
-/// The host may slow down for stretches longer than a whole pass, so
-/// independent best-of sampling of the two arms is noise-bound; instead
-/// each repetition times an adjacent off/on pair and the overhead is the
-/// MEDIAN of the paired differences — a host-wide slow phase hits both
-/// halves of a pair and cancels, and the median discards the pairs a
-/// scheduling spike split. The acceptance budget for the observability PR
-/// is <= 5% overhead.
-LedgerRow ledger_case(const std::string& name,
-                      const std::function<void()>& campaign, int reps_inner,
-                      int reps) {
-  LedgerRow row;
+/// The paired off/on protocol every overhead section shares. Each arm runs
+/// one pass of `reps_inner` campaigns and returns its elapsed ms. The host
+/// may slow down for stretches longer than a whole pass, so independent
+/// best-of sampling of the two arms is noise-bound; instead each
+/// repetition times an adjacent off/on pair and the overhead is the MEDIAN
+/// of the paired differences — a host-wide slow phase hits both halves of
+/// a pair and cancels, and the median discards the pairs a scheduling
+/// spike split. Arm order alternates so a drift within the pair (cache
+/// warmup, a ramping background task) biases half the pairs each way
+/// instead of always charging the second arm.
+OverheadRow paired_case(const std::string& name,
+                        const std::function<double()>& off_arm,
+                        const std::function<double()>& on_arm,
+                        int reps_inner, int reps) {
+  OverheadRow row;
   row.case_name = name;
-  const auto pass = [&] {
-    for (int r = 0; r < reps_inner; ++r) {
-      observe::ledger_reset();
-      campaign();
-    }
-  };
   double best_off = 1e300, best_on = 1e300;
   std::vector<double> diffs;
   for (int t = 0; t < reps; ++t) {
-    // Alternate which arm goes first so a drift within the pair (cache
-    // warmup, a ramping background task) biases half the pairs each way
-    // instead of always charging the second arm.
     double off, on;
     if (t % 2 == 0) {
-      observe::ledger_disable();
-      off = time_ms(pass);
-      observe::ledger_enable();
-      on = time_ms(pass);
+      off = off_arm();
+      on = on_arm();
     } else {
-      observe::ledger_enable();
-      on = time_ms(pass);
-      observe::ledger_disable();
-      off = time_ms(pass);
+      on = on_arm();
+      off = off_arm();
     }
     best_off = std::min(best_off, off);
     best_on = std::min(best_on, on);
     diffs.push_back(on - off);
   }
-  row.events = observe::ledger_event_count();  // one campaign's worth
-  observe::ledger_disable();
-  observe::ledger_reset();
   row.off_ms = best_off / reps_inner;
   row.on_ms = best_on / reps_inner;
   std::nth_element(diffs.begin(), diffs.begin() + diffs.size() / 2,
@@ -381,21 +330,42 @@ LedgerRow ledger_case(const std::string& name,
   return row;
 }
 
-struct ProvRow {
-  std::string case_name;
-  long entries = 0;  ///< nodes the recorded map attributes
-  double off_ms = 0, on_ms = 0;
-  double overhead_pct = 0;  ///< median paired difference / best off pass
-};
+/// Fault-lifecycle ledger disabled vs enabled. Both arms pay the
+/// ledger_reset() so the only difference is recording (budget: <= 5%).
+OverheadRow ledger_case(const std::string& name,
+                        const std::function<void()>& campaign, int reps_inner,
+                        int reps) {
+  const auto pass = [&] {
+    for (int r = 0; r < reps_inner; ++r) {
+      observe::ledger_reset();
+      campaign();
+    }
+  };
+  OverheadRow row = paired_case(
+      name,
+      [&] {
+        observe::ledger_disable();
+        return time_ms(pass);
+      },
+      [&] {
+        observe::ledger_enable();
+        return time_ms(pass);
+      },
+      reps_inner, reps);
+  // One campaign's worth: the last pass ended with a reset + campaign.
+  row.extras = {{"events", std::to_string(observe::ledger_event_count())}};
+  observe::ledger_disable();
+  observe::ledger_reset();
+  return row;
+}
 
-/// Times expand + a serial PPSFP pass with provenance recording off vs on.
+/// Expand + a serial PPSFP pass with provenance recording off vs on.
 /// Recording is a serial side table filled during expansion, so the
 /// overhead is all in the expand half; the PPSFP half is included because
-/// the acceptance budget (<= 2%) is stated over the whole expand+sim
-/// pipeline. Same paired-median protocol as ledger_case.
-ProvRow provenance_case(const std::string& name, const rtl::Datapath& dp,
-                        int width, int blocks_count, int reps_inner,
-                        int reps) {
+/// the budget (<= 2%) is stated over the whole expand+sim pipeline.
+OverheadRow provenance_case(const std::string& name, const rtl::Datapath& dp,
+                            int width, int blocks_count, int reps_inner,
+                            int reps) {
   gl::ExpandOptions base;
   base.width_override = width;
   base.record_provenance = false;
@@ -405,111 +375,63 @@ ProvRow provenance_case(const std::string& name, const rtl::Datapath& dp,
   const auto faults = gl::enumerate_faults(ref);
   const auto blocks = gl::lfsr_pattern_blocks(
       static_cast<int>(ref.primary_inputs().size()), blocks_count, 0x5EED);
-
-  ProvRow row;
-  row.case_name = name;
-  {
-    gl::ExpandOptions on = base;
-    on.record_provenance = true;
-    row.entries = static_cast<long>(
-        gl::expand_datapath(dp, on).provenance.num_attributed());
-  }
-  const auto pass = [&](bool record) {
-    for (int r = 0; r < reps_inner; ++r) {
-      gl::ExpandOptions o = base;
-      o.record_provenance = record;
-      const gl::ExpandedDesign ed = gl::expand_datapath(dp, o);
-      gl::fault_coverage(ed.netlist, blocks, faults, nullptr,
-                         gl::FaultSimOptions{1});
-    }
+  const auto arm = [&](bool record) {
+    return time_ms([&] {
+      for (int r = 0; r < reps_inner; ++r) {
+        gl::ExpandOptions o = base;
+        o.record_provenance = record;
+        const gl::ExpandedDesign ed = gl::expand_datapath(dp, o);
+        gl::fault_coverage(ed.netlist, blocks, faults, nullptr,
+                           gl::FaultSimOptions{1});
+      }
+    });
   };
-  double best_off = 1e300, best_on = 1e300;
-  std::vector<double> diffs;
-  for (int t = 0; t < reps; ++t) {
-    double off, on;
-    if (t % 2 == 0) {
-      off = time_ms([&] { pass(false); });
-      on = time_ms([&] { pass(true); });
-    } else {
-      on = time_ms([&] { pass(true); });
-      off = time_ms([&] { pass(false); });
-    }
-    best_off = std::min(best_off, off);
-    best_on = std::min(best_on, on);
-    diffs.push_back(on - off);
-  }
-  row.off_ms = best_off / reps_inner;
-  row.on_ms = best_on / reps_inner;
-  std::nth_element(diffs.begin(), diffs.begin() + diffs.size() / 2,
-                   diffs.end());
-  const double median_diff = diffs[diffs.size() / 2] / reps_inner;
-  row.overhead_pct = row.off_ms > 0 ? 100.0 * median_diff / row.off_ms : 0;
+  OverheadRow row = paired_case(
+      name, [&] { return arm(false); }, [&] { return arm(true); },
+      reps_inner, reps);
+  gl::ExpandOptions on = base;
+  on.record_provenance = true;
+  row.extras = {{"entries",
+                 std::to_string(gl::expand_datapath(dp, on)
+                                    .provenance.num_attributed())}};
   return row;
 }
 
-struct TelemetryRow {
-  std::string case_name;
-  long heartbeats = 0;  ///< heartbeat lines one enabled pass streams
-  long samples = 0;     ///< profiler stack samples one enabled pass takes
-  double off_ms = 0, on_ms = 0;
-  double overhead_pct = 0;  ///< median paired difference / best off pass
-};
-
-/// Times one campaign with the live-telemetry layer fully off vs fully on
-/// (progress counters + live span stacks + heartbeat streaming to a
-/// scratch file + the sampling profiler riding the sampler thread). The
-/// session start/stop — thread spawn and join — sits OUTSIDE the timed
-/// region: the budget is on the steady-state cost a long campaign pays,
-/// not the one-time setup. Same paired-median protocol as ledger_case;
-/// the acceptance budget for the telemetry PR is <= 2% overhead.
-TelemetryRow telemetry_case(const std::string& name,
-                            const std::function<void()>& campaign,
-                            int reps_inner, int reps) {
-  TelemetryRow row;
-  row.case_name = name;
+/// Live telemetry fully off vs fully on: progress counters, live span
+/// stacks, heartbeat streaming to a scratch file, and the sampling
+/// profiler riding the sampler thread. Session start/stop — thread spawn
+/// and join — sits OUTSIDE the timed region: the budget (<= 2%) is on the
+/// steady-state cost a long campaign pays, not the one-time setup.
+OverheadRow telemetry_case(const std::string& name,
+                           const std::function<void()>& campaign,
+                           int reps_inner, int reps) {
   const char* hb_path = "bench_telemetry_scratch.jsonl";
   const auto pass = [&] {
     for (int r = 0; r < reps_inner; ++r) campaign();
   };
-  const auto on_arm = [&] {
-    observe::Profiler profiler;
-    util::TelemetryOptions topts;
-    topts.heartbeat_path = hb_path;
-    topts.interval_ms = 25;
-    topts.sampler = [&profiler] { profiler.sample(); };
-    util::trace_stacks_enable();
-    util::telemetry_start(topts);
-    const double on = time_ms(pass);
-    util::telemetry_stop();
-    util::trace_stacks_disable();
-    row.heartbeats = util::telemetry_heartbeat_count();
-    row.samples = static_cast<long>(profiler.ticks());
-    return on;
-  };
-  double best_off = 1e300, best_on = 1e300;
-  std::vector<double> diffs;
-  for (int t = 0; t < reps; ++t) {
-    // Alternate arm order — see ledger_case.
-    double off, on;
-    if (t % 2 == 0) {
-      off = time_ms(pass);
-      on = on_arm();
-    } else {
-      on = on_arm();
-      off = time_ms(pass);
-    }
-    best_off = std::min(best_off, off);
-    best_on = std::min(best_on, on);
-    diffs.push_back(on - off);
-  }
+  long heartbeats = 0, samples = 0;
+  OverheadRow row = paired_case(
+      name, [&] { return time_ms(pass); },
+      [&] {
+        observe::Profiler profiler;
+        util::TelemetryOptions topts;
+        topts.heartbeat_path = hb_path;
+        topts.interval_ms = 25;
+        topts.sampler = [&profiler] { profiler.sample(); };
+        util::trace_stacks_enable();
+        util::telemetry_start(topts);
+        const double on = time_ms(pass);
+        util::telemetry_stop();
+        util::trace_stacks_disable();
+        heartbeats = util::telemetry_heartbeat_count();
+        samples = static_cast<long>(profiler.ticks());
+        return on;
+      },
+      reps_inner, reps);
   util::progress_reset();
   std::remove(hb_path);
-  row.off_ms = best_off / reps_inner;
-  row.on_ms = best_on / reps_inner;
-  std::nth_element(diffs.begin(), diffs.begin() + diffs.size() / 2,
-                   diffs.end());
-  const double median_diff = diffs[diffs.size() / 2] / reps_inner;
-  row.overhead_pct = row.off_ms > 0 ? 100.0 * median_diff / row.off_ms : 0;
+  row.extras = {{"heartbeats", std::to_string(heartbeats)},
+                {"samples", std::to_string(samples)}};
   return row;
 }
 
@@ -524,32 +446,19 @@ std::uint64_t result_digest(double coverage, const std::vector<bool>& det) {
   return d;
 }
 
-struct ServeRow {
-  std::string case_name;
-  long scrapes = 0;  ///< endpoint responses answered during the on passes
-  bool identical = false;  ///< result digest equal across both arms
-  double off_ms = 0, on_ms = 0;
-  double overhead_pct = 0;  ///< median paired difference / best off pass
-};
-
-/// Times one campaign bare vs with the observability endpoint attached
-/// AND actively scraped: an ObservabilityServer on an ephemeral port plus
-/// a client thread cycling through the read endpoints every 25 ms — two
+/// A campaign bare vs with the observability endpoint attached AND
+/// actively scraped: an ObservabilityServer on an ephemeral port plus a
+/// client thread cycling through the read endpoints every 25 ms — two
 /// orders of magnitude faster than a default Prometheus scrape_interval,
 /// but throttled, because an unthrottled loopback client measures CPU
 /// contention on small machines, not the endpoint's cost. Server/poller
-/// spawn and join sit OUTSIDE the timed region (same rationale as
-/// telemetry_case: the budget is the steady-state cost a scraped
-/// campaign pays). The campaign returns a digest of its fault-sim
-/// results; `identical` records that the scraped arm produced
-/// bit-identical results — the endpoint observes the workload, it never
-/// steers it. Acceptance budget for the serve PR: <= 2% overhead.
-ServeRow serve_case(const std::string& name,
-                    const std::function<std::uint64_t()>& campaign,
-                    int reps_inner, int reps) {
-  ServeRow row;
-  row.case_name = name;
-  std::uint64_t digest_off = 0, digest_on = 0;
+/// spawn and join sit OUTSIDE the timed region. The campaign returns a
+/// digest of its fault-sim results; `identical` records that every pass of
+/// both arms reproduced the bare reference digest — the endpoint observes
+/// the workload, it never steers it (budget: <= 2%).
+OverheadRow serve_case(const std::string& name,
+                       const std::function<std::uint64_t()>& campaign,
+                       int reps_inner, int reps) {
   const auto pass = [&] {
     // FNV-1a fold of the per-rep digests, so ordering matters too.
     std::uint64_t d = 1469598103934665603ull;
@@ -559,98 +468,85 @@ ServeRow serve_case(const std::string& name,
     }
     return d;
   };
-  const auto off_arm = [&] { return time_ms([&] { digest_off = pass(); }); };
-  const auto on_arm = [&] {
-    observe::ObservabilityServer server;
-    observe::ServeOptions sopts;
-    sopts.port = 0;  // ephemeral — no collision dance across reps
-    sopts.command = "bench";
-    std::string err;
-    if (!server.start(sopts, &err)) {
-      std::fprintf(stderr, "serve bench: %s\n", err.c_str());
-      return time_ms([&] { digest_on = pass(); });
-    }
-    std::atomic<bool> stop{false};
-    std::thread poller([&server, &stop] {
-      static const char* kTargets[] = {"/metrics", "/progress", "/jobs",
-                                       "/healthz", "/"};
-      std::size_t i = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        util::http_get("127.0.0.1", server.port(),
-                       kTargets[i++ % (sizeof(kTargets) / sizeof(*kTargets))]);
-        std::this_thread::sleep_for(std::chrono::milliseconds(25));
-      }
-    });
-    const double on = time_ms([&] { digest_on = pass(); });
-    stop.store(true, std::memory_order_relaxed);
-    poller.join();
-    row.scrapes += static_cast<long>(server.requests());
-    server.stop();
-    // A /profile hit enables span-stack recording process-wide. The
-    // poller never requests one, but force recording off anyway so the
-    // off arms stay bare no matter what the server did.
-    util::trace_stacks_disable();
-    return on;
+  const std::uint64_t reference = pass();
+  bool identical = true;
+  const auto timed_pass = [&] {
+    std::uint64_t digest = 0;
+    const double ms = time_ms([&] { digest = pass(); });
+    identical = identical && digest == reference;
+    return ms;
   };
-  double best_off = 1e300, best_on = 1e300;
-  std::vector<double> diffs;
-  row.identical = true;
-  for (int t = 0; t < reps; ++t) {
-    // Alternate arm order — see ledger_case.
-    double off, on;
-    if (t % 2 == 0) {
-      off = off_arm();
-      on = on_arm();
-    } else {
-      on = on_arm();
-      off = off_arm();
-    }
-    if (digest_on != digest_off) row.identical = false;
-    best_off = std::min(best_off, off);
-    best_on = std::min(best_on, on);
-    diffs.push_back(on - off);
-  }
+  long scrapes = 0;
+  OverheadRow row = paired_case(
+      name, timed_pass,
+      [&] {
+        observe::ObservabilityServer server;
+        observe::ServeOptions sopts;
+        sopts.port = 0;  // ephemeral — no collision dance across reps
+        sopts.command = "bench";
+        std::string err;
+        if (!server.start(sopts, &err)) {
+          std::fprintf(stderr, "serve bench: %s\n", err.c_str());
+          return timed_pass();
+        }
+        std::atomic<bool> stop{false};
+        std::thread poller([&server, &stop] {
+          static const char* kTargets[] = {"/metrics", "/progress", "/jobs",
+                                           "/healthz", "/"};
+          std::size_t i = 0;
+          while (!stop.load(std::memory_order_relaxed)) {
+            util::http_get(
+                "127.0.0.1", server.port(),
+                kTargets[i++ % (sizeof(kTargets) / sizeof(*kTargets))]);
+            std::this_thread::sleep_for(std::chrono::milliseconds(25));
+          }
+        });
+        const double on = timed_pass();
+        stop.store(true, std::memory_order_relaxed);
+        poller.join();
+        scrapes += static_cast<long>(server.requests());
+        server.stop();
+        // A /profile hit enables span-stack recording process-wide. The
+        // poller never requests one, but force recording off anyway so
+        // the off arms stay bare no matter what the server did.
+        util::trace_stacks_disable();
+        return on;
+      },
+      reps_inner, reps);
   util::progress_reset();
-  row.off_ms = best_off / reps_inner;
-  row.on_ms = best_on / reps_inner;
-  std::nth_element(diffs.begin(), diffs.begin() + diffs.size() / 2,
-                   diffs.end());
-  const double median_diff = diffs[diffs.size() / 2] / reps_inner;
-  row.overhead_pct = row.off_ms > 0 ? 100.0 * median_diff / row.off_ms : 0;
+  row.extras = {{"scrapes", std::to_string(scrapes)},
+                {"identical", identical ? "true" : "false"}};
   return row;
 }
 
-struct SoaWidthRow {
-  std::string case_name;  ///< "<circuit>/w<lanes>" — unique bench_diff key
-  int lanes = 0;
-  double coverage = 0;
-  double matrix_ms = 0;  ///< no-drop detection matrix (detection_masks)
-  double drop_ms = 0;    ///< dropping coverage pass (fault_coverage)
-  double matrix_speedup_vs_w64 = 0;
-};
-
 struct SoaThreadRow {
-  std::string case_name;  ///< "<circuit>/t<threads>"
+  std::string case_name;  ///< "<circuit>/<blocks>-block/t<threads>"
   int threads = 0;
   double matrix_ms = kSkipped;  ///< null when threads > hardware threads
 };
 
 struct SoaCase {
   std::string circuit;
-  std::string backend;  ///< SIMD kernel set the wide engine dispatched to
+  std::string backend;  ///< SIMD kernel set the 512-lane engine dispatched to
   int gates = 0;
   std::size_t faults = 0;
-  int patterns = 0;
+  int blocks = 0;
   double lower_ms = 0;  ///< Netlist -> SimGraph lowering, paid once
-  std::vector<SoaWidthRow> widths;
+  double coverage = 0;
+  double drop_ms = 0;    ///< dropping coverage pass (fault_coverage)
+  double matrix_single_blocks_ms = 0;  ///< `blocks` 1-block matrices
+  double matrix_ms = 0;  ///< one `blocks`-block matrix
+  double matrix_speedup() const {
+    return matrix_ms > 0 ? matrix_single_blocks_ms / matrix_ms : kSkipped;
+  }
   std::vector<SoaThreadRow> threads;
 };
 
-/// Compiled-SoA-core section: lowering cost, then single-thread matrix and
-/// dropping grading at 64/256/512 lanes (matrix is the workload wide lanes
-/// exist for — every fault against every block, the N-detect/compaction
-/// shape), then the 512-lane matrix across thread counts. All width rows
-/// are cross-checked for bit-identical masks and detected sets.
+/// The detection-matrix width rule on one netlist: `blocks` single-block
+/// detection_masks calls (each below the 8-block threshold: the 64-lane
+/// engine) against one `blocks`-block call (the 512-lane engine), plus the
+/// dropping grade, the one-time lowering cost, and the wide matrix across
+/// thread counts. Every matrix is cross-checked bit for bit.
 SoaCase soa_case(const std::string& name, const gl::Netlist& n,
                  int blocks_count, int reps) {
   const auto faults = gl::enumerate_faults(n);
@@ -661,7 +557,7 @@ SoaCase soa_case(const std::string& name, const gl::Netlist& n,
   sc.backend = gl::to_string(gl::active_simd_backend());
   sc.gates = n.gate_count();
   sc.faults = faults.size();
-  sc.patterns = blocks_count * 64;
+  sc.blocks = blocks_count;
 
   // Lowering cost: SimGraph::lower directly, since the cached
   // SimGraph::of path is free after the first call.
@@ -674,50 +570,45 @@ SoaCase soa_case(const std::string& name, const gl::Netlist& n,
       reps + 2);
   if (sink < 0) std::fprintf(stderr, "unreachable\n");
 
-  std::vector<std::uint64_t> ref_masks;
-  std::vector<bool> ref_detected;
-  for (const int lanes : {64, 256, 512}) {
-    gl::FaultSimOptions o;
-    o.num_threads = 1;
-    o.lanes = lanes;
-    SoaWidthRow row;
-    row.case_name = name + "/w" + std::to_string(lanes);
-    row.lanes = lanes;
-    std::vector<std::uint64_t> masks;
-    row.matrix_ms = median_ms(
-        [&] { gl::detection_masks(n, blocks, faults, masks, o); }, reps);
-    std::vector<bool> detected;
-    row.drop_ms = median_ms(
-        [&] {
-          detected.clear();
-          row.coverage = gl::fault_coverage(n, blocks, faults, &detected, o);
-        },
-        reps);
-    if (lanes == 64) {
-      ref_masks = masks;
-      ref_detected = detected;
-    } else if (masks != ref_masks || detected != ref_detected) {
-      std::fprintf(stderr, "WARNING: %s w%d result differs from w64\n",
-                   name.c_str(), lanes);
-    }
-    row.matrix_speedup_vs_w64 =
-        sc.widths.empty() ? 1.0 : sc.widths.front().matrix_ms / row.matrix_ms;
-    sc.widths.push_back(row);
-  }
+  const gl::FaultSimOptions serial{1};
+  sc.drop_ms = median_ms(
+      [&] {
+        sc.coverage = gl::fault_coverage(n, blocks, faults, nullptr, serial);
+      },
+      reps);
+  std::vector<std::uint64_t> single(faults.size() * blocks.size());
+  sc.matrix_single_blocks_ms = median_ms(
+      [&] {
+        std::vector<std::uint64_t> col;
+        for (std::size_t b = 0; b < blocks.size(); ++b) {
+          gl::detection_masks(n, {blocks[b]}, faults, col, serial);
+          for (std::size_t f = 0; f < faults.size(); ++f)
+            single[f * blocks.size() + b] = col[f];
+        }
+      },
+      reps);
+  std::vector<std::uint64_t> masks;
+  sc.matrix_ms = median_ms(
+      [&] { gl::detection_masks(n, blocks, faults, masks, serial); }, reps);
+  if (masks != single)
+    std::fprintf(stderr, "WARNING: %s wide matrix differs from 1-block\n",
+                 name.c_str());
 
   const int hw = gl::FaultSimOptions{}.resolved_threads();
   for (const int t : {1, 2, 4}) {
-    gl::FaultSimOptions o;
-    o.num_threads = t;
-    o.lanes = 512;
     SoaThreadRow row;
-    row.case_name = name + "/t" + std::to_string(t);
+    row.case_name = name + "/" + std::to_string(blocks_count) + "-block/t" +
+                    std::to_string(t);
     row.threads = t;
     if (t <= hw) {
-      std::vector<std::uint64_t> masks;
+      std::vector<std::uint64_t> mt;
       row.matrix_ms = median_ms(
-          [&] { gl::detection_masks(n, blocks, faults, masks, o); }, reps);
-      if (masks != ref_masks)
+          [&] {
+            gl::detection_masks(n, blocks, faults, mt,
+                                gl::FaultSimOptions{t});
+          },
+          reps);
+      if (mt != masks)
         std::fprintf(stderr, "WARNING: %s t%d masks differ from serial\n",
                      name.c_str(), t);
     }
@@ -726,13 +617,30 @@ SoaCase soa_case(const std::string& name, const gl::Netlist& n,
   return sc;
 }
 
+/// One overhead section: {"case", extras..., timings} per row.
+void write_overhead_section(FILE* f, const char* section,
+                            const std::vector<OverheadRow>& rows) {
+  std::fprintf(f, "  ],\n  \"%s\": [\n", section);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const OverheadRow& r = rows[i];
+    std::fprintf(f, "    {\"case\": \"%s\", ", r.case_name.c_str());
+    for (const auto& [key, value] : r.extras)
+      std::fprintf(f, "\"%s\": %s, ", key.c_str(), value.c_str());
+    std::fprintf(f,
+                 "\"off_ms\": %.3f, \"on_ms\": %.3f, "
+                 "\"overhead_pct\": %.2f}%s\n",
+                 r.off_ms, r.on_ms, r.overhead_pct,
+                 i + 1 < rows.size() ? "," : "");
+  }
+}
+
 void write_json(const std::vector<PpsfpRow>& ppsfp,
                 const std::vector<SeqRow>& seq,
                 const std::vector<SoaCase>& soa,
-                const std::vector<LedgerRow>& ledger,
-                const std::vector<ProvRow>& prov,
-                const std::vector<TelemetryRow>& telemetry,
-                const std::vector<ServeRow>& serve, int hw, int used) {
+                const std::vector<OverheadRow>& ledger,
+                const std::vector<OverheadRow>& prov,
+                const std::vector<OverheadRow>& telemetry,
+                const std::vector<OverheadRow>& serve, int hw, int used) {
   FILE* f = std::fopen("BENCH_faultsim.json", "w");
   if (!f) {
     std::fprintf(stderr, "cannot write BENCH_faultsim.json\n");
@@ -763,10 +671,10 @@ void write_json(const std::vector<PpsfpRow>& ppsfp,
         f,
         "    {\"circuit\": \"%s\", \"faults\": %zu, \"frames\": %d, "
         "\"detected\": %ld, \"full_resim_ms\": %.3f, "
-        "\"event_serial_ms\": %.3f, \"event_parallel_ms\": %s, "
+        "\"dense_serial_ms\": %.3f, \"dense_parallel_ms\": %s, "
         "\"speedup_algorithmic\": %s, \"speedup_total\": %s}%s\n",
         r.circuit.c_str(), r.faults, r.frames, r.detected, r.full_resim_ms,
-        r.event_serial_ms, num_or_null(r.event_parallel_ms, 3).c_str(),
+        r.dense_serial_ms, num_or_null(r.dense_parallel_ms, 3).c_str(),
         num_or_null(r.speedup_algorithmic(), 2).c_str(),
         num_or_null(r.speedup_total(), 2).c_str(),
         i + 1 < seq.size() ? "," : "");
@@ -776,21 +684,15 @@ void write_json(const std::vector<PpsfpRow>& ppsfp,
     const SoaCase& c = soa[i];
     std::fprintf(f,
                  "    {\"circuit\": \"%s\", \"backend\": \"%s\", "
-                 "\"gates\": %d, \"faults\": %zu, \"patterns\": %d, "
-                 "\"lower_ms\": %.3f,\n     \"widths\": [\n",
+                 "\"gates\": %d, \"faults\": %zu, \"blocks\": %d, "
+                 "\"lower_ms\": %.3f, \"coverage\": %.4f, "
+                 "\"drop_ms\": %.3f, \"matrix_single_blocks_ms\": %.3f, "
+                 "\"matrix_ms\": %.3f, \"matrix_speedup\": %s,\n"
+                 "     \"threads\": [\n",
                  c.circuit.c_str(), c.backend.c_str(), c.gates, c.faults,
-                 c.patterns, c.lower_ms);
-    for (std::size_t w = 0; w < c.widths.size(); ++w) {
-      const SoaWidthRow& r = c.widths[w];
-      std::fprintf(f,
-                   "       {\"case\": \"%s\", \"lanes\": %d, "
-                   "\"coverage\": %.4f, \"matrix_ms\": %.3f, "
-                   "\"drop_ms\": %.3f, \"matrix_speedup_vs_w64\": %.2f}%s\n",
-                   r.case_name.c_str(), r.lanes, r.coverage, r.matrix_ms,
-                   r.drop_ms, r.matrix_speedup_vs_w64,
-                   w + 1 < c.widths.size() ? "," : "");
-    }
-    std::fprintf(f, "     ],\n     \"threads\": [\n");
+                 c.blocks, c.lower_ms, c.coverage, c.drop_ms,
+                 c.matrix_single_blocks_ms, c.matrix_ms,
+                 num_or_null(c.matrix_speedup(), 2).c_str());
     for (std::size_t t = 0; t < c.threads.size(); ++t) {
       const SoaThreadRow& r = c.threads[t];
       std::fprintf(f,
@@ -802,52 +704,33 @@ void write_json(const std::vector<PpsfpRow>& ppsfp,
     }
     std::fprintf(f, "     ]}%s\n", i + 1 < soa.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n  \"ledger\": [\n");
-  for (std::size_t i = 0; i < ledger.size(); ++i) {
-    const LedgerRow& r = ledger[i];
-    std::fprintf(f,
-                 "    {\"case\": \"%s\", \"events\": %ld, "
-                 "\"off_ms\": %.3f, \"on_ms\": %.3f, "
-                 "\"overhead_pct\": %.2f}%s\n",
-                 r.case_name.c_str(), r.events, r.off_ms, r.on_ms,
-                 r.overhead_pct, i + 1 < ledger.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"provenance\": [\n");
-  for (std::size_t i = 0; i < prov.size(); ++i) {
-    const ProvRow& r = prov[i];
-    std::fprintf(f,
-                 "    {\"case\": \"%s\", \"entries\": %ld, "
-                 "\"off_ms\": %.3f, \"on_ms\": %.3f, "
-                 "\"overhead_pct\": %.2f}%s\n",
-                 r.case_name.c_str(), r.entries, r.off_ms, r.on_ms,
-                 r.overhead_pct, i + 1 < prov.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"telemetry\": [\n");
-  for (std::size_t i = 0; i < telemetry.size(); ++i) {
-    const TelemetryRow& r = telemetry[i];
-    std::fprintf(f,
-                 "    {\"case\": \"%s\", \"heartbeats\": %ld, "
-                 "\"samples\": %ld, \"off_ms\": %.3f, \"on_ms\": %.3f, "
-                 "\"overhead_pct\": %.2f}%s\n",
-                 r.case_name.c_str(), r.heartbeats, r.samples, r.off_ms,
-                 r.on_ms, r.overhead_pct,
-                 i + 1 < telemetry.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"serve\": [\n");
-  for (std::size_t i = 0; i < serve.size(); ++i) {
-    const ServeRow& r = serve[i];
-    std::fprintf(f,
-                 "    {\"case\": \"%s\", \"scrapes\": %ld, "
-                 "\"identical\": %s, \"off_ms\": %.3f, \"on_ms\": %.3f, "
-                 "\"overhead_pct\": %.2f}%s\n",
-                 r.case_name.c_str(), r.scrapes,
-                 r.identical ? "true" : "false", r.off_ms, r.on_ms,
-                 r.overhead_pct, i + 1 < serve.size() ? "," : "");
-  }
+  write_overhead_section(f, "ledger", ledger);
+  write_overhead_section(f, "provenance", prov);
+  write_overhead_section(f, "telemetry", telemetry);
+  write_overhead_section(f, "serve", serve);
   std::fprintf(f, "  ],\n  ");
   bench::write_metrics_field(f);
   std::fprintf(f, "\n}\n");
   std::fclose(f);
+}
+
+/// Prints one overhead section: case, extras, off/on timings, overhead.
+void print_overhead_table(const std::string& layer,
+                          const std::vector<OverheadRow>& rows) {
+  std::vector<std::string> head = {"case"};
+  for (const auto& [key, value] : rows.front().extras) head.push_back(key);
+  for (const char* h : {" off ms", " on ms"}) head.push_back(layer + h);
+  head.push_back("overhead");
+  util::Table t(head);
+  for (const OverheadRow& r : rows) {
+    std::vector<std::string> cells = {r.case_name};
+    for (const auto& [key, value] : r.extras) cells.push_back(value);
+    cells.push_back(util::fmt(r.off_ms, 2));
+    cells.push_back(util::fmt(r.on_ms, 2));
+    cells.push_back(util::fmt(r.overhead_pct, 1) + "%");
+    t.add_row(cells);
+  }
+  bench::print_table(t);
 }
 
 }  // namespace
@@ -859,8 +742,10 @@ int main() {
   bench::print_header(
       "PERF-FAULTSIM",
       "Engine claim: sharding the fault list over workers scales PPSFP with "
-      "the\nhardware, and the event-driven sequential simulator beats "
-      "full per-fault\nresimulation outright.");
+      "the\nhardware, the 512-lane engine grades a 9-block detection matrix "
+      "faster\nthan nine 64-lane matrices, and the dense sequential engine "
+      "on the\nSimGraph arrays is no slower than full per-fault "
+      "resimulation.");
   std::printf("hardware threads: %d\n\n", hw);
 
   std::vector<PpsfpRow> ppsfp;
@@ -895,40 +780,36 @@ int main() {
                 fmt_or_dash(r.parallel_ms, 1), fmt_or_dash(r.speedup(), 2)});
   bench::print_table(pt);
 
-  // Compiled-SoA-core rows: matrix (no-drop) and dropping grading per lane
-  // width, 512-lane matrix per thread count, plus the one-time lowering
-  // cost. The headline claim is the width-512 matrix speedup on the
-  // largest netlist.
+  // Width-rule rows: nine 1-block matrices (64-lane engine) against one
+  // 9-block matrix (512-lane engine), the dropping grade, the 9-block
+  // matrix per thread count, plus the one-time lowering cost. The headline
+  // claim is the matrix speedup on the largest netlist.
   std::vector<SoaCase> soa;
-  soa.push_back(soa_case("diffeq_scan_w8", diffeq_scan, 8, 5));
-  soa.push_back(soa_case("random160_scan_w8", random160_scan, 8, 3));
+  soa.push_back(soa_case("diffeq_scan_w8", diffeq_scan, 9, 5));
+  soa.push_back(soa_case("random160_scan_w8", random160_scan, 9, 3));
 
-  util::Table wt({"case", "lanes", "coverage", "matrix ms", "drop ms",
-                  "matrix speedup"});
+  util::Table wt({"circuit", "backend", "blocks", "coverage", "drop ms",
+                  "9 x 1-block matrix ms", "9-block matrix ms",
+                  "matrix speedup", "lower ms"});
   for (const SoaCase& c : soa)
-    for (const SoaWidthRow& r : c.widths)
-      wt.add_row({r.case_name, std::to_string(r.lanes),
-                  util::fmt(r.coverage, 4), util::fmt(r.matrix_ms, 1),
-                  util::fmt(r.drop_ms, 1),
-                  util::fmt(r.matrix_speedup_vs_w64, 2)});
+    wt.add_row({c.circuit, c.backend, std::to_string(c.blocks),
+                util::fmt(c.coverage, 4), util::fmt(c.drop_ms, 1),
+                util::fmt(c.matrix_single_blocks_ms, 1),
+                util::fmt(c.matrix_ms, 1), fmt_or_dash(c.matrix_speedup(), 2),
+                util::fmt(c.lower_ms, 2)});
   bench::print_table(wt);
 
-  util::Table tt({"case", "threads", "matrix ms (512 lanes)"});
-  for (const SoaCase& c : soa) {
-    std::printf("soa %s: backend=%s lower_ms=%s\n", c.circuit.c_str(),
-                c.backend.c_str(), util::fmt(c.lower_ms, 2).c_str());
+  util::Table tt({"case", "threads", "9-block matrix ms"});
+  for (const SoaCase& c : soa)
     for (const SoaThreadRow& r : c.threads)
       tt.add_row({r.case_name, std::to_string(r.threads),
                   fmt_or_dash(r.matrix_ms, 1)});
-  }
   bench::print_table(tt);
 
   std::vector<SeqRow> seq;
   // The EXP-SEQATPG circuit set (rings L=1..6 at L+4 frames, pipelines
   // D=1..8 at D+3 frames) aggregated over enough repetitions to time the
   // microsecond-scale campaigns, plus non-scan datapath expansions.
-  // Rings/pipelines are also the adversarial case for divergence tracking:
-  // an XOR/NOT chain re-diverges every flop it reaches.
   {
     std::vector<gl::Netlist> circs;
     std::vector<int> nframes;
@@ -940,32 +821,32 @@ int main() {
       circs.push_back(pipeline_circuit(depth));
       nframes.push_back(depth + 3);
     }
-    seq.push_back(seq_suite_case("seqatpg_rings_pipelines", circs, nframes,
-                                 /*reps_inner=*/1500, /*reps=*/4));
+    seq.push_back(seq_case("seqatpg_rings_pipelines", circs, nframes,
+                           /*reps_inner=*/1500, /*reps=*/4));
   }
-  seq.push_back(seq_case("ring48", ring_circuit(48), 60, 5));
-  seq.push_back(seq_case("diffeq_noscan_w4", seq_netlist(cdfg::diffeq(), 4),
-                         32, 5));
-  seq.push_back(seq_case("iir_noscan_w4", seq_netlist(cdfg::iir_biquad(), 4),
-                         32, 5));
-  seq.push_back(seq_case("tseng_noscan_w4", seq_netlist(cdfg::tseng(), 4),
-                         32, 5));
+  seq.push_back(seq_case("ring48", {ring_circuit(48)}, {60}, 1, 5));
+  seq.push_back(seq_case("diffeq_noscan_w4", {seq_netlist(cdfg::diffeq(), 4)},
+                         {32}, 1, 5));
+  seq.push_back(seq_case("iir_noscan_w4",
+                         {seq_netlist(cdfg::iir_biquad(), 4)}, {32}, 1, 5));
+  seq.push_back(seq_case("tseng_noscan_w4", {seq_netlist(cdfg::tseng(), 4)},
+                         {32}, 1, 5));
 
   util::Table st({"circuit", "faults", "frames", "full resim ms",
-                  "event serial ms", "event parallel ms", "alg speedup",
+                  "dense serial ms", "dense parallel ms", "alg speedup",
                   "total speedup"});
   for (const SeqRow& r : seq)
     st.add_row({r.circuit, std::to_string(r.faults), std::to_string(r.frames),
                 util::fmt(r.full_resim_ms, 1),
-                util::fmt(r.event_serial_ms, 1),
-                fmt_or_dash(r.event_parallel_ms, 1),
+                util::fmt(r.dense_serial_ms, 1),
+                fmt_or_dash(r.dense_parallel_ms, 1),
                 util::fmt(r.speedup_algorithmic(), 2),
                 fmt_or_dash(r.speedup_total(), 2)});
   bench::print_table(st);
 
   // Fault-ledger recording cost on the two engine shapes the ledger hooks
   // into: a serial PPSFP block run and a serial sequential campaign.
-  std::vector<LedgerRow> ledger;
+  std::vector<OverheadRow> ledger;
   {
     const gl::Netlist n = scan_netlist(cdfg::diffeq(), 8);
     const auto faults = gl::enumerate_faults(n);
@@ -992,17 +873,11 @@ int main() {
         /*reps_inner=*/1, /*reps=*/15));
   }
 
-  util::Table lt({"case", "events", "ledger off ms", "ledger on ms",
-                  "overhead"});
-  for (const LedgerRow& r : ledger)
-    lt.add_row({r.case_name, std::to_string(r.events),
-                util::fmt(r.off_ms, 2), util::fmt(r.on_ms, 2),
-                util::fmt(r.overhead_pct, 1) + "%"});
-  bench::print_table(lt);
+  print_overhead_table("ledger", ledger);
 
   // Provenance recording cost over the full expand + serial-PPSFP
   // pipeline (budget: <= 2%).
-  std::vector<ProvRow> prov;
+  std::vector<OverheadRow> prov;
   {
     const hls::Synthesis syn = bench::synthesize_standard(cdfg::diffeq());
     rtl::Datapath dp = syn.rtl.datapath;
@@ -1018,18 +893,12 @@ int main() {
                                    /*reps_inner=*/16, /*reps=*/21));
   }
 
-  util::Table vt({"case", "entries", "record off ms", "record on ms",
-                  "overhead"});
-  for (const ProvRow& r : prov)
-    vt.add_row({r.case_name, std::to_string(r.entries),
-                util::fmt(r.off_ms, 2), util::fmt(r.on_ms, 2),
-                util::fmt(r.overhead_pct, 1) + "%"});
-  bench::print_table(vt);
+  print_overhead_table("record", prov);
 
   // Live-telemetry cost on the same two engine shapes: heartbeat
   // streaming + progress counters + live span stacks + the sampling
   // profiler, all running, vs everything off (budget: <= 2%).
-  std::vector<TelemetryRow> telemetry;
+  std::vector<OverheadRow> telemetry;
   {
     const gl::Netlist n = scan_netlist(cdfg::diffeq(), 8);
     const auto faults = gl::enumerate_faults(n);
@@ -1056,21 +925,14 @@ int main() {
         /*reps_inner=*/1, /*reps=*/15));
   }
 
-  util::Table xt({"case", "heartbeats", "samples", "telemetry off ms",
-                  "telemetry on ms", "overhead"});
-  for (const TelemetryRow& r : telemetry)
-    xt.add_row({r.case_name, std::to_string(r.heartbeats),
-                std::to_string(r.samples), util::fmt(r.off_ms, 2),
-                util::fmt(r.on_ms, 2),
-                util::fmt(r.overhead_pct, 1) + "%"});
-  bench::print_table(xt);
+  print_overhead_table("telemetry", telemetry);
 
   // Observability-endpoint cost under active scraping: the same two
   // engine shapes, bare vs served on an ephemeral port with a client
   // hammering the read endpoints for the whole pass. Each row also
   // cross-checks that the scraped arm's coverage and detected mask are
   // bit-identical to the bare arm's (budget: <= 2%).
-  std::vector<ServeRow> serve;
+  std::vector<OverheadRow> serve;
   {
     const gl::Netlist n = scan_netlist(cdfg::diffeq(), 8);
     const auto faults = gl::enumerate_faults(n);
@@ -1103,23 +965,18 @@ int main() {
         /*reps_inner=*/4, /*reps=*/15));
   }
 
-  util::Table et({"case", "scrapes", "identical", "serve off ms",
-                  "serve on ms", "overhead"});
-  for (const ServeRow& r : serve)
-    et.add_row({r.case_name, std::to_string(r.scrapes),
-                r.identical ? "yes" : "NO", util::fmt(r.off_ms, 2),
-                util::fmt(r.on_ms, 2), util::fmt(r.overhead_pct, 1) + "%"});
-  bench::print_table(et);
+  print_overhead_table("serve", serve);
 
   write_json(ppsfp, seq, soa, ledger, prov, telemetry, serve, hw, hw);
   std::printf(
       "Wrote BENCH_faultsim.json. Shape check: PPSFP speedup should track "
       "the\nhardware thread count (>= 3x on >= 4 cores, skipped on 1 core); "
-      "the\nevent-driven sequential engine should win on every circuit "
-      "regardless of\ncores; the 512-lane matrix speedup should reach >= 3x "
-      "on the largest\nnetlist; ledger recording overhead should stay within "
-      "5%%; provenance\nrecording within 2%%; live telemetry (heartbeats + "
-      "stacks + sampler)\nwithin 2%%; the scraped observability endpoint "
-      "within 2%% with every\nserve row identical=yes.\n");
+      "the\ndense sequential engine's algorithmic speedup over full resim "
+      "should be\n>= 1 on every circuit; the 9-block matrix (one full and "
+      "one padded\n512-lane pass) should beat nine 1-block matrices by >= 2x "
+      "on both\nnetlists; ledger recording overhead should stay within 5%%; "
+      "provenance\nrecording within 2%%; live telemetry (heartbeats + stacks "
+      "+ sampler)\nwithin 2%%; the scraped observability endpoint within 2%% "
+      "with every\nserve row identical=true.\n");
   return 0;
 }

@@ -9,7 +9,6 @@
 #include "util/metrics.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace tsyn::compaction {
@@ -233,36 +232,14 @@ std::vector<std::vector<std::uint64_t>> detection_matrix(
     const Netlist& n, const std::vector<TestCube>& patterns,
     const std::vector<Fault>& faults, const FaultSimOptions& sim_options) {
   TSYN_SPAN("compaction.detection_matrix");
-  std::vector<std::vector<std::uint64_t>> matrix(
-      faults.size(), std::vector<std::uint64_t>());
   const std::vector<std::vector<Bits>> blocks = patterns_to_blocks(patterns);
-  for (auto& row : matrix) row.assign(blocks.size(), 0);
+  const std::size_t nb = blocks.size();
+  std::vector<std::uint64_t> masks;
+  gl::detection_masks(n, blocks, faults, masks, sim_options);
+  std::vector<std::vector<std::uint64_t>> matrix(faults.size());
+  for (std::size_t f = 0; f < faults.size(); ++f)
+    matrix[f].assign(masks.begin() + f * nb, masks.begin() + (f + 1) * nb);
   if (blocks.empty() || faults.empty()) return matrix;
-  util::progress("sim.patterns")
-      .add_total(64 * static_cast<std::int64_t>(blocks.size()));
-
-  // Blocks are independent without fault dropping, so they shard over the
-  // pool: one SERIAL FaultSimulator per worker slot (the per-block inner
-  // engine must not re-enter the shared pool from a worker thread).
-  const int num_blocks = static_cast<int>(blocks.size());
-  const int workers = std::max(
-      1, std::min(sim_options.resolved_threads(), num_blocks));
-  std::vector<FaultSimulator> sims;
-  sims.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w)
-    sims.emplace_back(n, FaultSimOptions{1});
-
-  auto job = [&](int b, int slot) {
-    std::vector<std::uint64_t> lane_masks;
-    sims[slot].run_block_detail(blocks[b], faults, lane_masks);
-    for (std::size_t f = 0; f < faults.size(); ++f)
-      matrix[f][b] = lane_masks[f];
-  };
-  if (workers <= 1) {
-    for (int b = 0; b < num_blocks; ++b) job(b, 0);
-  } else {
-    util::ThreadPool::shared().run(num_blocks, workers, job);
-  }
 
   // Mask the padding lanes of the last block out of the matrix so no
   // consumer credits a pattern that does not exist.

@@ -148,9 +148,11 @@ std::vector<std::vector<gl::Bits>> patterns_to_blocks(
 
 /// Per-fault, per-pattern detection matrix: bit (p % 64) of
 /// result[f][p / 64] is set iff pattern p detects fault f. No fault
-/// dropping. Blocks are graded in parallel on util::ThreadPool (one
-/// serial FaultSimulator per worker slot), so the matrix is identical for
-/// every thread count.
+/// dropping. gl::detection_masks reshaped to one row per fault, with the
+/// padding lanes of the last block cleared; it shards the fault list over
+/// sim_options.num_threads workers, so the matrix is identical for every
+/// thread count. With the ledger on it records each fault's n-detect
+/// count and first detecting pattern.
 std::vector<std::vector<std::uint64_t>> detection_matrix(
     const gl::Netlist& n, const std::vector<TestCube>& patterns,
     const std::vector<gl::Fault>& faults,

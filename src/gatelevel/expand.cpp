@@ -30,6 +30,29 @@ Word bitwise(Netlist& n, GateType type, const Word& a, const Word& b) {
   return w;
 }
 
+namespace {
+
+/// One AND or OR over `ins` (size >= 2), split into a tree of gates with
+/// at most kMaxFanin fanins each when it is wider than that.
+int nary_gate(Netlist& n, GateType type, std::vector<int> ins) {
+  assert(type == GateType::kAnd || type == GateType::kOr);
+  while (ins.size() > static_cast<std::size_t>(kMaxFanin)) {
+    std::vector<int> level;
+    for (std::size_t lo = 0; lo < ins.size(); lo += kMaxFanin) {
+      const std::size_t hi = std::min(ins.size(), lo + kMaxFanin);
+      level.push_back(hi - lo == 1
+                          ? ins[lo]
+                          : n.add_gate(type, std::vector<int>(
+                                                 ins.begin() + lo,
+                                                 ins.begin() + hi)));
+    }
+    ins = std::move(level);
+  }
+  return n.add_gate(type, ins);
+}
+
+}  // namespace
+
 Word invert(Netlist& n, const Word& a) {
   Word w(a.size());
   for (std::size_t i = 0; i < a.size(); ++i)
@@ -84,7 +107,7 @@ int equal(Netlist& n, const Word& a, const Word& b) {
   for (std::size_t i = 0; i < a.size(); ++i)
     eq_bits.push_back(n.add_gate(GateType::kXnor, {a[i], b[i]}));
   if (eq_bits.size() == 1) return eq_bits[0];
-  return n.add_gate(GateType::kAnd, eq_bits);
+  return nary_gate(n, GateType::kAnd, std::move(eq_bits));
 }
 
 Word array_multiply(Netlist& n, const Word& a, const Word& b) {
@@ -245,7 +268,7 @@ class ControlPlane {
       }
       onehot_[v] = terms.size() == 1
                        ? terms[0]
-                       : n_.add_gate(GateType::kAnd, terms);
+                       : nary_gate(n_, GateType::kAnd, std::move(terms));
     }
     if (state_ffs) *state_ffs = state;
   }
@@ -267,7 +290,7 @@ class ControlPlane {
       else if (ones.size() == 1)
         out[b] = n_.add_gate(GateType::kBuf, {ones[0]});
       else
-        out[b] = n_.add_gate(GateType::kOr, ones);
+        out[b] = nary_gate(n_, GateType::kOr, std::move(ones));
     }
     return out;
   }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -20,14 +18,25 @@ namespace tsyn::gl {
 
 namespace {
 
-/// Items claimed per work-stealing grab. Fault propagations are cheap
-/// (microseconds on small benches), so claiming one per atomic add is pure
-/// contention; a chunk this size amortizes it while the tail imbalance
-/// stays under a handful of propagations.
-constexpr int kPpsfpStealChunk = 16;
-/// Sequential faults cost a whole frame sweep each; smaller chunks keep
-/// the tail short.
+/// Sequential faults cost a whole frame sweep each; smaller chunks than
+/// the combinational engine's keep the tail short.
 constexpr int kSeqStealChunk = 4;
+
+/// Detection matrices this wide or wider run the 512-lane engine: one
+/// full good-machine pass per 8 blocks. Narrower ones would pay for
+/// padding lanes, so they stay on the 64-lane engine.
+constexpr std::size_t kWideMatrixBlocks = 8;
+
+void require_combinational(const Netlist& n) {
+  if (!n.flops().empty())
+    throw std::runtime_error(
+        "combinational fault sim; expand state as PI/PO first");
+}
+
+/// The W=1 engine reads a std::vector<Bits> in place as its good rows.
+const std::uint64_t* bits_rows(const std::vector<Bits>& values) {
+  return reinterpret_cast<const std::uint64_t*>(values.data());
+}
 
 }  // namespace
 
@@ -38,181 +47,13 @@ int FaultSimOptions::resolved_threads() const {
 }
 
 // ---------------------------------------------------------------------------
-// FaultPropagator — the one propagation routine every path shares.
-// ---------------------------------------------------------------------------
-
-FaultPropagator::FaultPropagator(const Netlist& n)
-    : n_(n), g_(&SimGraph::of(n)) {
-  const int nn = g_->num_nodes();
-  flags_.assign(nn, 0);
-  const std::uint8_t* gf = g_->flags();
-  for (int id = 0; id < nn; ++id)
-    if (gf[id] & SimGraph::kFlagPo) flags_[id] |= 1;
-  faulty_.assign(nn, Bits::unknown());
-  stamp_.assign(nn, -1);
-  sched_stamp_.assign(nn, -1);
-  po_stamp_.assign(nn, -1);
-  watch_stamp_.assign(nn, -1);
-  lvl_stamp_.assign(g_->num_levels(), -1);
-  lvl_lo_.assign(g_->num_levels(), 0);
-  lvl_hi_.assign(g_->num_levels(), 0);
-}
-
-void FaultPropagator::set_watches(const std::vector<int>& nodes) {
-  for (char& f : flags_) f &= ~2;
-  for (int id : nodes)
-    if (id >= 0) flags_[id] |= 2;
-}
-
-void FaultPropagator::begin(const std::vector<Bits>& good) {
-  assert(good.size() == static_cast<std::size_t>(n_.num_nodes()));
-  good_ = &good;
-  if (current_stamp_ == std::numeric_limits<int>::max()) {
-    std::fill(stamp_.begin(), stamp_.end(), -1);
-    std::fill(sched_stamp_.begin(), sched_stamp_.end(), -1);
-    std::fill(po_stamp_.begin(), po_stamp_.end(), -1);
-    std::fill(watch_stamp_.begin(), watch_stamp_.end(), -1);
-    std::fill(lvl_stamp_.begin(), lvl_stamp_.end(), -1);
-    current_stamp_ = 0;
-  }
-  ++current_stamp_;
-  min_lvl_ = g_->num_levels();
-  max_lvl_ = -1;
-  touched_pos_.clear();
-  touched_watches_.clear();
-}
-
-void FaultPropagator::schedule_fanouts(int id) {
-  // The SimGraph fanout CSR carries combinational edges only, so there is
-  // no D-edge check here — state capture is the sequential engine's job.
-  const std::int32_t* foff = g_->fanout_off();
-  const std::int32_t* fo = g_->fanout();
-  const std::int32_t* pos_of = g_->pos_of();
-  const std::int32_t* level_of = g_->level_of();
-  const std::int32_t end = foff[id + 1];
-  for (std::int32_t k = foff[id]; k < end; ++k) {
-    const int s = fo[k];
-    if (sched_stamp_[s] == current_stamp_) continue;
-    sched_stamp_[s] = current_stamp_;
-    const int pos = pos_of[s];
-    const int lvl = level_of[s];
-    if (lvl_stamp_[lvl] != current_stamp_) {
-      lvl_stamp_[lvl] = current_stamp_;
-      lvl_lo_[lvl] = pos;
-      lvl_hi_[lvl] = pos;
-      if (lvl < min_lvl_) min_lvl_ = lvl;
-      if (lvl > max_lvl_) max_lvl_ = lvl;
-    } else {
-      if (pos < lvl_lo_[lvl]) lvl_lo_[lvl] = pos;
-      if (pos > lvl_hi_[lvl]) lvl_hi_[lvl] = pos;
-    }
-  }
-}
-
-void FaultPropagator::force(int id, Bits v) {
-  const Bits old = value(id);
-  if (old.v == v.v && old.x == v.x) return;
-  faulty_[id] = v;
-  stamp_[id] = current_stamp_;
-  const char fl = flags_[id];
-  if (fl & 3) {  // PO / watched bookkeeping, off the fast path
-    if ((fl & 1) && po_stamp_[id] != current_stamp_) {
-      po_stamp_[id] = current_stamp_;
-      touched_pos_.push_back(id);
-    }
-    if ((fl & 2) && watch_stamp_[id] != current_stamp_) {
-      watch_stamp_[id] = current_stamp_;
-      touched_watches_.push_back(id);
-    }
-  }
-  schedule_fanouts(id);
-}
-
-void FaultPropagator::inject(const Fault& f) {
-  const Bits stuck = f.stuck_at_one ? Bits::all1() : Bits::all0();
-  if (f.fanin_index < 0) {
-    force(f.node, stuck);
-    return;
-  }
-  const GateType t = g_->type(f.node);
-  if (t == GateType::kDff) return;  // sampled at state capture
-  const std::int32_t* fin = g_->fanin();
-  const std::int32_t lo = g_->fanin_off()[f.node];
-  const int nf = g_->num_fanins(f.node);
-  Bits fanin_vals[16];
-  for (int i = 0; i < nf; ++i)
-    fanin_vals[i] = i == f.fanin_index ? stuck : value(fin[lo + i]);
-  force(f.node, eval_gate(t, fanin_vals, nf));
-}
-
-void FaultPropagator::drain(const Fault& f) {
-  const Bits stuck = f.stuck_at_one ? Bits::all1() : Bits::all0();
-  Bits fanin_vals[16];
-  const std::int32_t* order = g_->order().data();
-  const std::int32_t* foff = g_->fanin_off();
-  const std::int32_t* fin = g_->fanin();
-  const std::uint8_t* types = g_->types();
-  // Fanouts sit at strictly deeper levels, so scheduling during the sweep
-  // only ever stamps levels ahead of the cursor (max_lvl_ may grow, the
-  // current level's span cannot) — one ascending pass over the stamped
-  // levels suffices, and untouched levels cost one compare each.
-  for (int lvl = min_lvl_; lvl <= max_lvl_; ++lvl) {
-    if (lvl_stamp_[lvl] != current_stamp_) continue;
-    const int hi = lvl_hi_[lvl];
-    for (int pos = lvl_lo_[lvl]; pos <= hi; ++pos) {
-      const int id = order[pos];
-      if (sched_stamp_[id] != current_stamp_) continue;
-      ++events_;
-      // Only combinational gates ever get scheduled (the fanout CSR
-      // excludes DFF targets and sources are never fanout targets).
-      // An output-faulted node stays pinned at its stuck value even when
-      // its fanins diverge (possible through flip-flop feedback in the
-      // sequential engine); inject() already forced it.
-      if (f.fanin_index < 0 && id == f.node) continue;
-      const std::int32_t lo = foff[id];
-      const int nf = foff[id + 1] - lo;
-      for (int i = 0; i < nf; ++i) {
-        Bits v = value(fin[lo + i]);
-        if (f.fanin_index >= 0 && id == f.node && i == f.fanin_index)
-          v = stuck;
-        fanin_vals[i] = v;
-      }
-      force(id, eval_gate(static_cast<GateType>(types[id]), fanin_vals, nf));
-    }
-  }
-}
-
-std::uint64_t FaultPropagator::po_diff_mask() const {
-  std::uint64_t mask = 0;
-  for (int id : touched_pos_) {
-    const Bits& g = (*good_)[id];
-    const Bits& b = faulty_[id];
-    mask |= (g.v ^ b.v) & ~g.x & ~b.x;
-  }
-  return mask;
-}
-
-std::uint64_t FaultPropagator::propagate(const Fault& f,
-                                         const std::vector<Bits>& good) {
-  ++faults_;
-  const long before = events_;
-  begin(good);
-  inject(f);
-  drain(f);
-  last_propagate_events_ = events_ - before;
-  return po_diff_mask();
-}
-
-// ---------------------------------------------------------------------------
 // FaultSimulator — PPSFP with the fault list spread over the worker pool.
 // ---------------------------------------------------------------------------
 
 FaultSimulator::FaultSimulator(const Netlist& n,
                                const FaultSimOptions& options)
     : n_(n), options_(options) {
-  if (!n.flops().empty())
-    throw std::runtime_error(
-        "FaultSimulator is combinational; expand state as PI/PO first");
+  require_combinational(n);
   SimGraph::of(n);  // build the lowered form before any worker reads it
   good_.assign(n.num_nodes(), Bits::unknown());
 }
@@ -233,48 +74,11 @@ void FaultSimulator::propagate_shard(const std::vector<Fault>& faults,
   const int count = static_cast<int>(faults.size());
   masks.assign(faults.size(), 0);
   if (count == 0) return;
-  const int workers = std::min(options_.resolved_threads(), count);
-  while (static_cast<int>(propagators_.size()) < std::max(workers, 1))
+  const int workers = std::max(1, std::min(options_.resolved_threads(), count));
+  while (static_cast<int>(propagators_.size()) < workers)
     propagators_.emplace_back(n_);
-
-  const bool ledger_on = observe::ledger_enabled();
-  auto job = [&](int i, int slot) {
-    if (skip && (*skip)[i]) return;
-    FaultPropagator& p = propagators_[slot];
-    masks[i] = p.propagate(faults[i], good_);
-    if (ledger_on)
-      observe::record_sim_effort(observe::make_fault_key(faults[i]),
-                                 p.last_propagate_events());
-  };
-  if (workers <= 1) {
-    for (int i = 0; i < count; ++i) job(i, 0);
-  } else {
-    util::ThreadPool::shared().run_chunked(count, workers, kPpsfpStealChunk,
-                                           job);
-  }
-
-  // Publish the shard's work into the registry off the hot path — worker
-  // counters are stable once run_chunked() has returned. Imbalance is the
-  // largest slot's share over the ideal equal share (1.0 = perfectly
-  // balanced, `workers` = one slot did everything).
-  static util::Counter& m_events =
-      util::metrics().counter("faultsim.ppsfp.events");
-  static util::Counter& m_sims =
-      util::metrics().counter("faultsim.ppsfp.faults_simulated");
-  long events = 0, done = 0, biggest = 0;
-  for (FaultPropagator& p : propagators_) {
-    events += p.events_processed();
-    done += p.faults_propagated();
-    biggest = std::max(biggest, p.faults_propagated());
-    p.reset_work_counters();
-  }
-  m_events.add(events);
-  m_sims.add(done);
-  if (workers > 1 && done > 0)
-    util::metrics()
-        .gauge("faultsim.ppsfp.shard_imbalance")
-        .set(static_cast<double>(biggest) * workers /
-             static_cast<double>(done));
+  wide_detail::propagate_faults(propagators_, workers, bits_rows(good_),
+                                faults, skip, masks.data());
 }
 
 int FaultSimulator::run_block(const std::vector<Bits>& pi_values,
@@ -314,59 +118,6 @@ void FaultSimulator::run_block_detail(const std::vector<Bits>& pi_values,
   p_patterns.add(64);
 }
 
-// ---------------------------------------------------------------------------
-// Wide-lane engine: W×64 patterns per good-machine pass and per fault
-// propagation, value rows stored SoA (W value words then W x-words per
-// node) so the kernels stream whole rows through the chosen SIMD backend.
-// The engine itself lives in faultsim_wide.h, instantiated per ISA in
-// dedicated TUs; only the runtime dispatch is here.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-using wide_detail::wide_campaign;
-
-/// Per-width backend dispatch: the widest runtime-detected backend whose
-/// kernel TU is in the build (TSYN_WIDE_AVX2 / TSYN_WIDE_AVX512, see
-/// CMakeLists.txt), demoted to scalar by TSYN_FORCE_SCALAR
-/// (active_simd_backend). The ISA-specific entry points live in TUs
-/// compiled with the matching -m flags; this TU stays portable, so the
-/// binary runs on any x86-64 and still uses AVX where the CPU has it.
-template <int W>
-void run_wide_campaign(const Netlist& n,
-                       const std::vector<std::vector<Bits>>& blocks,
-                       const std::vector<Fault>& faults,
-                       const FaultSimOptions& options,
-                       std::vector<bool>* detected,
-                       std::vector<std::uint64_t>* matrix) {
-  const SimdBackend be = active_simd_backend();
-  (void)be;
-#if defined(TSYN_WIDE_AVX512)
-  if constexpr (W == 8) {
-    if (be == SimdBackend::kAvx512) {
-      wide_detail::wide_campaign_avx512_w8(n, blocks, faults, options,
-                                           detected, matrix);
-      return;
-    }
-  }
-#endif
-#if defined(TSYN_WIDE_AVX2)
-  if (be == SimdBackend::kAvx2 || be == SimdBackend::kAvx512) {
-    if constexpr (W == 4)
-      wide_detail::wide_campaign_avx2_w4(n, blocks, faults, options, detected,
-                                         matrix);
-    else
-      wide_detail::wide_campaign_avx2_w8(n, blocks, faults, options, detected,
-                                         matrix);
-    return;
-  }
-#endif
-  wide_campaign<W, ScalarWords<W>>(n, blocks, faults, options, detected,
-                                   matrix);
-}
-
-}  // namespace
-
 double fault_coverage(const Netlist& n,
                       const std::vector<std::vector<Bits>>& blocks,
                       const std::vector<Fault>& faults,
@@ -378,22 +129,52 @@ double fault_coverage(const Netlist& n,
   util::progress("sim.patterns")
       .add_total(64 * static_cast<std::int64_t>(blocks.size()));
   std::vector<bool> detected(faults.size(), false);
-  const int lanes = options.resolved_lanes();
-  if (lanes != 64 && !blocks.empty() && !faults.empty()) {
-    if (lanes == 256)
-      run_wide_campaign<4>(n, blocks, faults, options, &detected, nullptr);
-    else
-      run_wide_campaign<8>(n, blocks, faults, options, &detected, nullptr);
-  } else {
-    FaultSimulator sim(n, options);
-    for (const auto& block : blocks) sim.run_block(block, faults, detected);
-  }
+  FaultSimulator sim(n, options);
+  for (const auto& block : blocks) sim.run_block(block, faults, detected);
   const long hit = std::count(detected.begin(), detected.end(), true);
   if (detected_out) *detected_out = std::move(detected);
   return faults.empty() ? 1.0
                         : static_cast<double>(hit) /
                               static_cast<double>(faults.size());
 }
+
+// ---------------------------------------------------------------------------
+// Detection matrix: the 64-lane engine block by block, or the 512-lane
+// engine (faultsim_wide.h, instantiated per ISA in dedicated TUs) 8 blocks
+// per pass.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Runs the W=8 matrix on the widest runtime-detected backend whose kernel
+/// TU is in the build (TSYN_WIDE_AVX2 / TSYN_WIDE_AVX512, see
+/// CMakeLists.txt), demoted to scalar by TSYN_FORCE_SCALAR
+/// (active_simd_backend). The ISA-specific entry points live in TUs
+/// compiled with the matching -m flags; this TU stays portable, so the
+/// binary runs on any x86-64 and still uses AVX where the CPU has it.
+void run_wide_matrix(const Netlist& n,
+                     const std::vector<std::vector<Bits>>& blocks,
+                     const std::vector<Fault>& faults, int threads,
+                     std::uint64_t* matrix) {
+  const SimdBackend be = active_simd_backend();
+  (void)be;
+#if defined(TSYN_WIDE_AVX512)
+  if (be == SimdBackend::kAvx512) {
+    wide_detail::wide_matrix_avx512_w8(n, blocks, faults, threads, matrix);
+    return;
+  }
+#endif
+#if defined(TSYN_WIDE_AVX2)
+  if (be == SimdBackend::kAvx2 || be == SimdBackend::kAvx512) {
+    wide_detail::wide_matrix_avx2_w8(n, blocks, faults, threads, matrix);
+    return;
+  }
+#endif
+  wide_detail::wide_matrix<8, ScalarWords<8>>(n, blocks, faults, threads,
+                                              matrix);
+}
+
+}  // namespace
 
 void detection_masks(const Netlist& n,
                      const std::vector<std::vector<Bits>>& blocks,
@@ -405,25 +186,23 @@ void detection_masks(const Netlist& n,
   const std::size_t nb = blocks.size();
   masks.assign(count * nb, 0);
   if (count == 0 || nb == 0) return;
+  require_combinational(n);
   util::progress("sim.patterns").add_total(64 * static_cast<std::int64_t>(nb));
-  const int lanes = options.resolved_lanes();
-  if (lanes == 64) {
-    FaultSimulator sim(n, options);
-    std::vector<std::uint64_t> row;
-    for (std::size_t b = 0; b < nb; ++b) {
-      sim.run_block_detail(blocks[b], faults, row);
-      for (std::size_t i = 0; i < count; ++i) masks[i * nb + b] = row[i];
-    }
+  if (nb >= kWideMatrixBlocks) {
+    run_wide_matrix(n, blocks, faults, options.resolved_threads(),
+                    masks.data());
     return;
   }
-  if (lanes == 256)
-    run_wide_campaign<4>(n, blocks, faults, options, nullptr, &masks);
-  else
-    run_wide_campaign<8>(n, blocks, faults, options, nullptr, &masks);
+  FaultSimulator sim(n, options);
+  std::vector<std::uint64_t> row;
+  for (std::size_t b = 0; b < nb; ++b) {
+    sim.run_block_detail(blocks[b], faults, row);
+    for (std::size_t i = 0; i < count; ++i) masks[i * nb + b] = row[i];
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Sequential fault simulation.
+// Sequential fault simulation: dense per-fault frame re-simulation.
 // ---------------------------------------------------------------------------
 
 std::vector<bool> sequential_fault_sim(
@@ -439,52 +218,36 @@ std::vector<bool> sequential_fault_sim(
   const int count = static_cast<int>(faults.size());
   std::vector<bool> detected(faults.size(), false);
   if (count == 0 || input_frames.empty()) return detected;
-  SimGraph::of(n);  // build the lowered form before any worker reads it
+  const SimGraph& g = SimGraph::of(n);  // built before workers fan out
+  const int workers = std::max(1, std::min(options.resolved_threads(), count));
 
-  const auto& flops = n.flops();
-  const int workers = std::min(options.resolved_threads(), count);
-
-  // D-pin watch set: the faulty next-state of a flip-flop can differ from
-  // the good trace only if its D node was touched this frame, so state
-  // capture walks the touched watches — O(divergence), not O(flops).
-  // Flip-flops may share a D node (CSR map below); unconnected (d < 0)
-  // flops stay unknown in both machines and never diverge.
-  std::vector<int> d_count(n.num_nodes(), 0);
-  std::vector<int> watch_nodes;
-  for (std::size_t i = 0; i < flops.size(); ++i) {
-    const int d = n.node(flops[i]).fanins[0];
-    if (d < 0) continue;
-    if (d_count[d]++ == 0) watch_nodes.push_back(d);
+  // The dense schedule: every combinational gate in levelized order, and
+  // each flip-flop's D node (-1 when unconnected: it stays unknown).
+  const std::int32_t* foff = g.fanin_off();
+  const std::int32_t* fin = g.fanin();
+  const std::uint8_t* types = g.types();
+  std::vector<std::int32_t> gates;
+  for (const std::int32_t id : g.order()) {
+    const GateType t = g.type(id);
+    if (t != GateType::kInput && t != GateType::kDff) gates.push_back(id);
   }
-  std::vector<int> fd_off(n.num_nodes() + 1, 0);
-  for (int id = 0; id < n.num_nodes(); ++id)
-    fd_off[id + 1] = fd_off[id] + d_count[id];
-  std::vector<int> fd_flat(fd_off.back());
-  std::vector<int> fd_fill = fd_off;
-  for (std::size_t i = 0; i < flops.size(); ++i) {
-    const int d = n.node(flops[i]).fanins[0];
-    if (d >= 0) fd_flat[fd_fill[d]++] = static_cast<int>(i);
-  }
+  std::vector<std::int32_t> d_of;
+  for (const std::int32_t ff : g.ffs()) d_of.push_back(fin[foff[ff]]);
 
-  // Per-worker scratch: propagator plus the faulty flip-flop state (sparse:
-  // state[i] is meaningful only while i is in div_list). All of it is
-  // reused across the worker's whole fault shard — no per-frame or
+  // Per-worker scratch: the faulty machine's node values and flip-flop
+  // state, reused across the worker's whole fault shard — no per-frame or
   // per-fault allocation.
   struct Scratch {
-    FaultPropagator prop;
-    std::vector<Bits> state;
-    std::vector<int> div_list, new_div;
+    std::vector<Bits> values, state;
     /// Slot-private effort counters, merged into the registry at the end.
-    long faults_done = 0, frames_done = 0, detected = 0, dropped_mid = 0;
-    Scratch(const Netlist& net, const std::vector<int>& watches)
-        : prop(net), state(net.flops().size()) {
-      prop.set_watches(watches);
-    }
+    long faults_done = 0, frames_done = 0, evals = 0, detected = 0,
+         dropped_mid = 0;
   };
-  std::vector<Scratch> scratch;
-  scratch.reserve(static_cast<std::size_t>(std::max(workers, 1)));
-  for (int w = 0; w < std::max(workers, 1); ++w)
-    scratch.emplace_back(n, watch_nodes);
+  std::vector<Scratch> scratch(static_cast<std::size_t>(workers));
+  for (Scratch& s : scratch) {
+    s.values.assign(g.num_nodes(), Bits::unknown());
+    s.state.assign(g.ffs().size(), Bits::unknown());
+  }
 
   util::Histogram& frames_to_detect =
       util::metrics().histogram("faultsim.seq.frames_to_detect");
@@ -493,20 +256,42 @@ std::vector<bool> sequential_fault_sim(
     const Fault& f = faults[fi];
     Scratch& s = scratch[slot];
     ++s.faults_done;
-    const long events_before = s.prop.events_processed();
-    // FFs start unknown in both machines: no initial divergence.
-    s.div_list.clear();
+    const long evals_before = s.evals;
+    const Bits stuck = f.stuck_at_one ? Bits::all1() : Bits::all0();
+    // Output faults pin the node (sources included); pin faults override
+    // one fanin of a gate. DFF D-pin faults sit outside every frame and,
+    // as in the full-resim reference, never change the captured state.
+    const int out_node = f.fanin_index < 0 ? f.node : -1;
+    const int pin_node = f.fanin_index >= 0 ? f.node : -1;
+    Bits* vals = s.values.data();
+    Bits fanin_vals[kMaxFanin];
+    std::fill(s.state.begin(), s.state.end(), Bits::unknown());
     for (std::size_t frame = 0; frame < input_frames.size(); ++frame) {
       ++s.frames_done;
-      s.prop.begin(good[frame]);
-      // Seed: flip-flops whose faulty state differs from the good trace,
-      // then the fault site itself (a stuck DFF output overrides its
-      // state; DFF D-pin faults are sampled at capture below, matching
-      // the full-resim reference).
-      for (int i : s.div_list) s.prop.force(flops[i], s.state[i]);
-      s.prop.inject(f);
-      s.prop.drain(f);
-      if (s.prop.po_diff_mask() != 0) {
+      const std::vector<Bits>& pi_frame = input_frames[frame];
+      for (std::size_t i = 0; i < g.pis().size(); ++i)
+        vals[g.pis()[i]] = i < pi_frame.size() ? pi_frame[i] : Bits::unknown();
+      for (std::size_t i = 0; i < g.ffs().size(); ++i)
+        vals[g.ffs()[i]] = s.state[i];
+      if (out_node >= 0) vals[out_node] = stuck;
+      for (const std::int32_t id : gates) {
+        const std::int32_t lo = foff[id];
+        const int nf = foff[id + 1] - lo;
+        for (int i = 0; i < nf; ++i) fanin_vals[i] = vals[fin[lo + i]];
+        if (id == pin_node) fanin_vals[f.fanin_index] = stuck;
+        vals[id] = id == out_node
+                       ? stuck
+                       : eval_gate(static_cast<GateType>(types[id]),
+                                   fanin_vals, nf);
+      }
+      s.evals += static_cast<long>(gates.size());
+      std::uint64_t diff = 0;
+      for (const std::int32_t po : g.pos()) {
+        const Bits& gv = good[frame][po];
+        const Bits& bv = vals[po];
+        diff |= (gv.v ^ bv.v) & ~gv.x & ~bv.x;
+      }
+      if (diff != 0) {
         det[fi] = 1;  // detected: drop the fault mid-sequence
         ++s.detected;
         if (frame + 1 < input_frames.size()) ++s.dropped_mid;
@@ -514,30 +299,17 @@ std::vector<bool> sequential_fault_sim(
         if (ledger_on) {
           const observe::FaultKey key = observe::make_fault_key(f);
           observe::record_seq_detected(key, static_cast<long>(frame) + 1);
-          observe::record_sim_effort(
-              key, s.prop.events_processed() - events_before);
+          observe::record_sim_effort(key, s.evals - evals_before);
         }
         p_seq.add(1);
         return;
       }
-      // Capture the next frame's state, keeping only the divergence.
-      s.new_div.clear();
-      for (int d : s.prop.touched_watches()) {
-        const Bits fv = s.prop.value(d);
-        const Bits& gv = good[frame][d];
-        if (fv.v == gv.v && fv.x == gv.x) continue;
-        const int end = fd_off[d + 1];
-        for (int k = fd_off[d]; k < end; ++k) {
-          const int i = fd_flat[k];
-          s.new_div.push_back(i);
-          s.state[i] = fv;
-        }
-      }
-      s.div_list.swap(s.new_div);
+      for (std::size_t i = 0; i < d_of.size(); ++i)
+        s.state[i] = d_of[i] >= 0 ? vals[d_of[i]] : Bits::unknown();
     }
     if (ledger_on)
       observe::record_sim_effort(observe::make_fault_key(f),
-                                 s.prop.events_processed() - events_before);
+                                 s.evals - evals_before);
     p_seq.add(1);
   };
   if (workers <= 1) {
@@ -559,9 +331,9 @@ std::vector<bool> sequential_fault_sim(
   static util::Counter& m_dropped =
       util::metrics().counter("faultsim.seq.faults_dropped_midseq");
   long done = 0, biggest = 0;
-  for (Scratch& s : scratch) {
+  for (const Scratch& s : scratch) {
     m_frames.add(s.frames_done);
-    m_events.add(s.prop.events_processed());
+    m_events.add(s.evals);
     m_detected.add(s.detected);
     m_dropped.add(s.dropped_mid);
     done += s.faults_done;
@@ -585,7 +357,7 @@ namespace {
 void simulate_frame_with_fault(const Netlist& n, const Fault& f,
                                std::vector<Bits>& values) {
   const Bits stuck = f.stuck_at_one ? Bits::all1() : Bits::all0();
-  Bits fanin_vals[16];
+  Bits fanin_vals[kMaxFanin];
   for (int id : n.topo_order()) {
     const Node& node = n.node(id);
     if (node.type != GateType::kInput && node.type != GateType::kDff) {

@@ -3,23 +3,32 @@
 // Parallel-pattern single-fault propagation with fault dropping for
 // combinational circuits — the workhorse behind every fault-coverage
 // number in the benches (full-scan coverage, BIST coverage, test-point
-// evaluation). The engines run on the compiled SoA form (simgraph.h):
-// levelized order, flat fanin/fanout arenas, per-level event buckets.
-// Grading is 64 lanes per pass by default and can widen to 256/512 lanes
-// (FaultSimOptions::lanes) with SIMD-dispatched kernels (widebits.h), so
-// one good-machine pass and one propagation per fault cover a whole
-// super-block of patterns. The fault list is spread over a worker pool
-// with chunked work-stealing: each worker drains its own contiguous range
-// chunk by chunk, then steals chunks from the others, so cone-size
-// imbalance stops costing wall-clock. Sequential circuits get an
-// event-driven faulty-machine simulator that carries only the divergent
-// flip-flop state between frames and drops detected faults mid-sequence.
+// evaluation). One engine per job shape, all on the compiled SoA form
+// (simgraph.h): levelized order, flat fanin/fanout arenas, per-level
+// event worklists.
+//
+//  - Fault-dropping grading (fault_coverage, FaultSimulator) runs the
+//    64-lane (W=1) instance of the propagation template in
+//    faultsim_wide.h, one block per good-machine pass.
+//  - A no-drop detection matrix (detection_masks) runs the same W=1 engine
+//    below 8 blocks and the 512-lane (W=8) instance, SIMD-dispatched
+//    (widebits.h), from 8 blocks up. The width follows the job; no option
+//    chooses it, and both widths give bit-identical masks.
+//  - Sequential circuits (sequential_fault_sim) get a dense per-fault
+//    frame re-simulation on the SimGraph arrays that drops each fault at
+//    its first detecting frame.
+//
+// Every engine spreads its fault list over the worker pool with chunked
+// work-stealing: each worker drains its own contiguous range chunk by
+// chunk, then steals chunks from the others, so cone-size imbalance stops
+// costing wall-clock. Results never depend on the thread count.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "gatelevel/faults.h"
+#include "gatelevel/faultsim_wide.h"
 #include "gatelevel/netlist.h"
 #include "gatelevel/simgraph.h"
 
@@ -43,20 +52,6 @@ struct FaultSimOptions {
   /// the host's core count); 0 = one wave per resolved_threads().
   int atpg_wave = 1;
 
-  /// Pattern lanes graded per good-machine pass: 64 (one machine word,
-  /// the default — byte-identical to the historical engine, including
-  /// ledger JSON), 256, or 512. Wider widths produce the exact same
-  /// detected-fault set and per-fault first-detecting pattern as the
-  /// corresponding sequence of 64-lane blocks (asserted in
-  /// tests/test_simgraph.cpp); only per-fault simulation-effort event
-  /// counts in the ledger differ (fewer, wider propagations). Widening
-  /// pays off when most faults stay live across many blocks — no-drop
-  /// detection matrices (N-detect, compaction pruning), BIST signature
-  /// grading — and on the good-machine side; with aggressive fault
-  /// dropping the first 64 lanes already retire most faults and 64 stays
-  /// the right default. See docs/faultsim.md.
-  int lanes = 64;
-
   /// num_threads with 0 resolved to the hardware parallelism (>= 1).
   int resolved_threads() const;
 
@@ -64,116 +59,15 @@ struct FaultSimOptions {
   int resolved_atpg_wave() const {
     return atpg_wave > 0 ? atpg_wave : resolved_threads();
   }
-
-  /// lanes snapped to a supported width (64, 256, or 512).
-  int resolved_lanes() const {
-    return lanes == 256 || lanes == 512 ? lanes : 64;
-  }
 };
 
-/// Per-thread fault-propagation scratch plus the one propagation routine
-/// both the serial and the sharded PPSFP paths (and the sequential engine)
-/// share. Values are copy-on-write against a caller-owned good-value
-/// vector: a node reads as good until touched in the current epoch.
-/// Internally runs on the netlist's cached SimGraph: flat CSR fanouts,
-/// levelized sweep with per-level event buckets (untouched levels are
-/// skipped wholesale — on shallow scan netlists most of them are).
-class FaultPropagator {
- public:
-  explicit FaultPropagator(const Netlist& n);
-
-  /// Starts a new epoch against `good` (node-indexed). The reference must
-  /// stay valid until the epoch's last call.
-  void begin(const std::vector<Bits>& good);
-
-  /// Sets node `id` to `v`; schedules its fanouts if the value diverges
-  /// from the current (faulty-machine) value. Used to seed divergent
-  /// flip-flop state in the sequential engine.
-  void force(int id, Bits v);
-
-  /// Injects fault `f`: output faults force the node, input-pin faults
-  /// re-evaluate the gate with the pin forced. Pin faults on DFFs are
-  /// ignored (matching the reference simulator: the D pin is sampled by
-  /// the state capture, which the caller owns).
-  void inject(const Fault& f);
-
-  /// Drains the event buckets level by level, re-evaluating `f`'s gate
-  /// with the faulted pin forced whenever it is reached.
-  void drain(const Fault& f);
-
-  /// 64-bit lane mask of primary outputs where the faulty machine provably
-  /// differs from the good machine (both known, values differ). Valid
-  /// after drain().
-  std::uint64_t po_diff_mask() const;
-
-  /// Faulty-machine value of `id` in the current epoch.
-  Bits value(int id) const {
-    return stamp_[id] == current_stamp_ ? faulty_[id] : (*good_)[id];
-  }
-
-  /// Marks nodes to watch (negative ids ignored). force() records which
-  /// watched nodes get touched each epoch; the sequential engine watches
-  /// the DFF D-pins so state capture is O(touched), not O(flops).
-  void set_watches(const std::vector<int>& nodes);
-
-  /// Watched node ids touched in the current epoch (deduplicated).
-  const std::vector<int>& touched_watches() const { return touched_watches_; }
-
-  /// begin() + inject() + drain() + po_diff_mask(): one combinational
-  /// fault, start to finish.
-  std::uint64_t propagate(const Fault& f, const std::vector<Bits>& good);
-
-  /// Work counters for the metrics registry: gate evaluations drain() has
-  /// performed and faults propagate() has run since construction or the
-  /// last reset_work_counters(). Owned by the propagator's worker — read
-  /// them only between parallel sections (after ThreadPool::run returns).
-  long events_processed() const { return events_; }
-  long faults_propagated() const { return faults_; }
-  /// Gate evaluations the most recent propagate() cost (for per-fault
-  /// ledger attribution; worker-private like the totals above).
-  long last_propagate_events() const { return last_propagate_events_; }
-  void reset_work_counters() {
-    events_ = 0;
-    faults_ = 0;
-    last_propagate_events_ = 0;
-  }
-
- private:
-  void schedule_fanouts(int id);
-
-  const Netlist& n_;
-  const SimGraph* g_ = nullptr;  ///< cached lowered form (owned by n_)
-  const std::vector<Bits>* good_ = nullptr;
-  // Timestamped copy-on-write faulty values: faulty_[id] is valid only
-  // when stamp_[id] == current_stamp_.
-  std::vector<Bits> faulty_;
-  std::vector<int> stamp_;
-  std::vector<int> sched_stamp_;  ///< node already scheduled this epoch
-  int current_stamp_ = 0;
-  /// Per-node flags: bit0 = primary output, bit1 = watched (SimGraph
-  /// flags plus the propagator-local watch bit). One load on the force()
-  /// fast path instead of parallel arrays.
-  std::vector<char> flags_;
-  /// Per-level event buckets replacing the single global sweep range:
-  /// scheduling stamps the node's level and widens that level's
-  /// [lvl_lo_, lvl_hi_] position span; drain() walks levels
-  /// [min_lvl_, max_lvl_] skipping unstamped ones. Fanouts sit at
-  /// strictly deeper levels, so one ascending pass suffices and a level's
-  /// span is frozen by the time the sweep reaches it.
-  std::vector<int> lvl_stamp_, lvl_lo_, lvl_hi_;
-  int min_lvl_ = 0, max_lvl_ = -1;
-  /// Primary outputs touched this epoch (deduplicated via sched stamps on
-  /// a parallel array), so po_diff_mask() is O(touched POs).
-  std::vector<int> touched_pos_;
-  std::vector<int> po_stamp_;
-  /// Watched nodes (see set_watches) touched this epoch.
-  std::vector<int> watch_stamp_;
-  std::vector<int> touched_watches_;
-  /// Work counters (see events_processed); plain longs, worker-private.
-  long events_ = 0;
-  long faults_ = 0;
-  long last_propagate_events_ = 0;
-};
+/// Per-thread fault-propagation scratch: the W=1 instance of the one
+/// propagation engine (faultsim_wide.h). propagate(f, good) runs one fault
+/// against node-indexed good values and returns the 64-bit lane mask of
+/// primary outputs where the faulty machine provably differs; the work
+/// counters (events_processed, faults_propagated, last_propagate_events,
+/// reset_work_counters) feed the metrics registry and the ledger.
+using FaultPropagator = wide_detail::WideProp<1, ScalarWords<1>>;
 
 /// Parallel-pattern combinational fault simulator. The netlist must be
 /// combinational (no DFFs) — expand scan/BIST registers as PI/PO first.
@@ -226,8 +120,8 @@ class FaultSimulator {
 
 /// Convenience: coverage of `faults` under `blocks` of PI patterns.
 /// Returns the fraction detected; `detected` (optional) receives the mask.
-/// options.lanes = 256/512 grades 4/8 blocks per pass with the wide-lane
-/// engine — same detected set and first-detecting patterns, fewer passes.
+/// Grades block by block with fault dropping on the 64-lane engine; the
+/// ledger records each fault's first detecting pattern (64 * block + lane).
 double fault_coverage(const Netlist& n,
                       const std::vector<std::vector<Bits>>& blocks,
                       const std::vector<Fault>& faults,
@@ -237,9 +131,12 @@ double fault_coverage(const Netlist& n,
 /// Full detection matrix, no fault dropping: grades every fault against
 /// every block and fills `masks[f * blocks.size() + b]` with the 64-bit
 /// lane mask of block b detecting fault f. This is the workload shape of
-/// N-detect grading and compaction's reverse-order pruning, and the one
-/// where wide lanes pay off most — options.lanes picks the engine width,
-/// the result is bit-identical across widths.
+/// N-detect grading and compaction's reverse-order pruning. Below 8
+/// blocks it runs the 64-lane engine block by block; from 8 blocks up the
+/// 512-lane engine grades 8 blocks per good-machine pass and per fault
+/// propagation (the last pass padded with inert all-X blocks). The masks
+/// are bit-identical either way; only the per-fault simulation effort the
+/// ledger records differs.
 void detection_masks(const Netlist& n,
                      const std::vector<std::vector<Bits>>& blocks,
                      const std::vector<Fault>& faults,
@@ -248,18 +145,20 @@ void detection_masks(const Netlist& n,
 
 /// Per-fault sequential simulation over a vector sequence (64 lanes of
 /// sequences in parallel; lane l of frame f is vector f of sequence l).
-/// FFs start unknown. Event-driven: the good trace is simulated once, each
-/// fault then propagates only its divergence per frame, carrying only the
-/// flip-flops that differ from the good machine across frame boundaries,
-/// and stops at its first detecting frame. The fault list is spread over
-/// the worker pool with chunked work-stealing. Returns the detected mask.
+/// FFs start unknown. Dense: the good trace is simulated once, then each
+/// fault re-simulates every gate of every frame on the SimGraph arrays
+/// with the fault injected, carrying its own flip-flop state across frame
+/// boundaries, and stops at its first detecting frame. The fault list is
+/// spread over the worker pool with chunked work-stealing (per-worker
+/// scratch, allocated once). Returns the detected mask.
 std::vector<bool> sequential_fault_sim(
     const Netlist& n, const std::vector<std::vector<Bits>>& input_frames,
     const std::vector<Fault>& faults, const FaultSimOptions& options = {});
 
 /// Reference implementation of sequential_fault_sim: full-circuit
-/// re-simulation of every frame for every fault, single-threaded. Kept as
-/// the equivalence oracle for tests and the baseline for the perf bench.
+/// re-simulation of every frame for every fault on the pointer Netlist,
+/// single-threaded. Kept as the independent equivalence oracle for tests,
+/// the end-to-end benchmark, and the baseline for the perf bench.
 std::vector<bool> sequential_fault_sim_full_resim(
     const Netlist& n, const std::vector<std::vector<Bits>>& input_frames,
     const std::vector<Fault>& faults);

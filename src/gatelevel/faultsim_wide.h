@@ -1,29 +1,35 @@
-// Wide-lane PPSFP engine, templated over the lane width W and the SIMD
-// word-vector backend V (widebits.h). This header is instantiated by
-// several translation units compiled with different ISA flags:
+// The fault-propagation engine, templated over the lane width W (W×64
+// patterns per good-machine row) and the SIMD word-vector backend V
+// (widebits.h). Two widths are instantiated, each for one job shape:
 //
-//   faultsim.cpp         (portable flags)  -> wide_campaign<W, ScalarWords<W>>
-//   faultsim_avx2.cpp    (-mavx2)          -> wide_campaign<W, Avx2Words>
-//   faultsim_avx512.cpp  (-mavx512f)       -> wide_campaign<8, Avx512Words>
+//   W=1  ScalarWords<1>  FaultPropagator (faultsim.h): every fault-dropping
+//                        grade and every matrix under 8 blocks. Its good
+//                        rows are the caller's std::vector<Bits>, read in
+//                        place ({v, x} is exactly a one-word row).
+//   W=8  per ISA         no-drop detection matrices of >= 8 blocks:
+//                          faultsim.cpp        -> ScalarWords<8>
+//                          faultsim_avx2.cpp   -> Avx2Words
+//                          faultsim_avx512.cpp -> Avx512Words
 //
-// and run_wide_campaign (faultsim.cpp) picks an entry point at runtime
-// from what the CPU supports. Every template here therefore carries V in
-// its parameter list even where the code never touches V: instantiations
-// from differently-flagged TUs must have distinct symbols, or the linker
-// could keep an AVX-encoded comdat copy and hand it to the scalar path on
-// a CPU without that ISA.
+// run_wide_matrix (faultsim.cpp) picks the W=8 entry point at runtime from
+// what the CPU supports. Every template here therefore carries V in its
+// parameter list even where the code never touches V: instantiations from
+// differently-flagged TUs must have distinct symbols, or the linker could
+// keep an AVX-encoded comdat copy and hand it to the scalar path on a CPU
+// without that ISA. For the same reason this header defines no non-template
+// inline functions.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <stdexcept>
+#include <type_traits>
 #include <vector>
 
-#include "gatelevel/faultsim.h"
+#include "gatelevel/faults.h"
 #include "gatelevel/netlist.h"
 #include "gatelevel/simgraph.h"
 #include "gatelevel/widebits.h"
@@ -34,25 +40,11 @@
 
 namespace tsyn::gl::wide_detail {
 
-/// Items claimed per work-stealing grab; mirrors the narrow engine's
-/// kPpsfpStealChunk (faultsim.cpp) and for the same reason — per-fault
-/// propagation is microseconds, one atomic add each is pure contention.
-constexpr int kWideStealChunk = 16;
-
-/// Good-machine value rows for one super-block, shared read-only by every
-/// worker's propagator. Rows are interleaved: node id owns 2W contiguous
-/// words, the W value words then the W x words — one pointer addresses a
-/// node's whole three-valued row and the row sits on adjacent cache lines
-/// (split v/x arrays cost twice the line and TLB traffic on the per-event
-/// hot path).
-template <int W>
-struct WideGood {
-  std::vector<std::uint64_t> rows;  // node-major, 2W words per node
-
-  const std::uint64_t* row(int id) const {
-    return &rows[static_cast<std::size_t>(id) * 2 * W];
-  }
-};
+/// Items claimed per work-stealing grab. Fault propagations are cheap
+/// (microseconds on small benches), so claiming one per atomic add is pure
+/// contention; a chunk this size amortizes it while the tail imbalance
+/// stays under a handful of propagations.
+constexpr int kStealChunk = 16;
 
 /// Evaluates one V-chunk (V::kWords lanes-of-64 at word offset `off`) of a
 /// gate from per-fanin row pointers. These are eval_gate's formulas routed
@@ -126,9 +118,7 @@ inline void wide_eval_row(GateType type, const std::uint64_t* const* fr,
 
 /// Evaluates one gate row, returning whether the result differs from
 /// `old` (the node's previous faulty-machine row) and storing it to `dst`
-/// only when it does. This is the per-event hot path: the old
-/// copy-on-write shape (eval to a temp row, memcmp, memcpy) streamed
-/// every row through memory three extra times; here the row lives in
+/// only when it does. This is the per-event hot path: the row lives in
 /// registers while the diff accumulates, and unchanged events — the cone
 /// boundary, a large share of all events — never dirty a cache line.
 template <int W, class V>
@@ -154,54 +144,14 @@ inline bool wide_eval_diff(GateType type, const std::uint64_t* const* fr,
   return true;
 }
 
-/// Loads PI rows for the super-block starting at block `base`. Blocks past
-/// the end of the campaign pad with all-X lanes; three-valued monotonicity
-/// makes them inert (an X-input lane can only detect a fault that every
-/// real lane also detects, so first-detection attribution stays real).
-template <int W, class V>
-void wide_set_inputs(const SimGraph& g,
-                     const std::vector<std::vector<Bits>>& blocks,
-                     std::size_t base, WideGood<W>& good) {
-  const std::size_t nn = static_cast<std::size_t>(g.num_nodes());
-  good.rows.assign(nn * 2 * W, 0);
-  for (std::size_t id = 0; id < nn; ++id) {  // default all lanes to X
-    std::uint64_t* rx = &good.rows[id * 2 * W + W];
-    for (int w = 0; w < W; ++w) rx[w] = ~0ULL;
-  }
-  const auto& pis = g.pis();
-  for (std::size_t i = 0; i < pis.size(); ++i) {
-    std::uint64_t* r = &good.rows[static_cast<std::size_t>(pis[i]) * 2 * W];
-    for (int w = 0; w < W; ++w) {
-      const std::size_t b = base + static_cast<std::size_t>(w);
-      if (b >= blocks.size() || i >= blocks[b].size()) continue;
-      r[w] = blocks[b][i].v;
-      r[W + w] = blocks[b][i].x;
-    }
-  }
-}
-
-/// Full good simulation of the preset rows (one levelized pass).
-template <int W, class V>
-void wide_simulate_good(const SimGraph& g, WideGood<W>& good) {
-  const std::uint64_t* frp[16];
-  const std::int32_t* foff = g.fanin_off();
-  const std::int32_t* fin = g.fanin();
-  for (const std::int32_t id : g.order()) {
-    const GateType t = g.type(id);
-    if (t == GateType::kInput || t == GateType::kDff) continue;
-    const std::int32_t lo = foff[id];
-    const int nf = foff[id + 1] - lo;
-    assert(nf <= 16);
-    for (int i = 0; i < nf; ++i)
-      frp[i] = &good.rows[static_cast<std::size_t>(fin[lo + i]) * 2 * W];
-    wide_eval_row<W, V>(t, frp, nf,
-                        &good.rows[static_cast<std::size_t>(id) * 2 * W]);
-  }
-}
-
-/// FaultPropagator widened to W×64 lanes: same copy-on-write stamps, same
-/// per-level event buckets, value rows instead of single Bits. One
-/// instance per worker slot.
+/// Per-thread fault-propagation scratch plus the one propagation routine
+/// every combinational path shares. Good-machine values are a caller-owned
+/// node-major row array (2W words per node: the W value words, then the W
+/// x words — one pointer addresses a node's whole three-valued row).
+/// Faulty values are copy-on-write against it: a node reads as good until
+/// touched in the current epoch. Scheduled nodes sit in per-level
+/// worklists and the sweep walks the touched levels in ascending order.
+/// One instance per worker slot.
 template <int W, class V>
 class WideProp {
  public:
@@ -214,10 +164,14 @@ class WideProp {
     lvl_stamp_.assign(g.num_levels(), -1);
     lvl_nodes_.resize(g.num_levels());
   }
+  /// Runs on the netlist's cached SimGraph (built here if needed — on the
+  /// calling thread, before any worker reads it).
+  explicit WideProp(const Netlist& n) : WideProp(SimGraph::of(n)) {}
 
-  /// One fault against the whole super-block: out_mask[w] is the detecting
-  /// lane mask of the super-block's w-th 64-lane block.
-  void propagate(const Fault& f, const WideGood<W>& good,
+  /// One fault against the good rows `good`: out_mask[w] is the detecting
+  /// lane mask of the row's w-th 64-lane block (primary outputs where the
+  /// faulty machine provably differs: both known, values differ).
+  void propagate(const Fault& f, const std::uint64_t* good,
                  std::uint64_t* out_mask) {
     ++faults_;
     const long before = events_;
@@ -228,9 +182,29 @@ class WideProp {
     po_diff(out_mask);
   }
 
-  long events() const { return events_; }
-  long faults() const { return faults_; }
-  long last_events() const { return last_events_; }
+  /// The W=1 form: one 64-lane block against node-indexed good values,
+  /// read in place. Returns the detecting lane mask.
+  std::uint64_t propagate(const Fault& f, const std::vector<Bits>& good)
+    requires(W == 1)
+  {
+    static_assert(sizeof(Bits) == 2 * sizeof(std::uint64_t) &&
+                      offsetof(Bits, x) == sizeof(std::uint64_t) &&
+                      std::is_standard_layout_v<Bits>,
+                  "Bits must be a one-word {v, x} row");
+    assert(good.size() == static_cast<std::size_t>(g_->num_nodes()));
+    std::uint64_t mask = 0;
+    propagate(f, reinterpret_cast<const std::uint64_t*>(good.data()), &mask);
+    return mask;
+  }
+
+  /// Work counters for the metrics registry: gate evaluations (scheduled
+  /// nodes) and faults propagated since construction or the last
+  /// reset_work_counters(), plus the evaluations the most recent
+  /// propagate() cost (per-fault ledger attribution). Owned by the
+  /// propagator's worker — read them only between parallel sections.
+  long events_processed() const { return events_; }
+  long faults_propagated() const { return faults_; }
+  long last_propagate_events() const { return last_events_; }
   void reset_work_counters() {
     events_ = 0;
     faults_ = 0;
@@ -238,15 +212,18 @@ class WideProp {
   }
 
  private:
+  const std::uint64_t* good_row(int id) const {
+    return good_ + static_cast<std::size_t>(id) * 2 * W;
+  }
   /// Current faulty-machine row of `id`: its copy-on-write row when touched
   /// this epoch, the shared good row otherwise.
   const std::uint64_t* row(int id) const {
     return stamp_[id] == cur_ ? &frows_[static_cast<std::size_t>(id) * 2 * W]
-                              : good_->row(id);
+                              : good_row(id);
   }
 
-  void begin(const WideGood<W>& good) {
-    good_ = &good;
+  void begin(const std::uint64_t* good) {
+    good_ = good;
     if (cur_ == std::numeric_limits<int>::max()) {
       std::fill(stamp_.begin(), stamp_.end(), -1);
       std::fill(sched_stamp_.begin(), sched_stamp_.end(), -1);
@@ -261,6 +238,8 @@ class WideProp {
   }
 
   void schedule_fanouts(int id) {
+    // The fanout CSR carries combinational edges only, so no DFF is ever
+    // scheduled.
     const std::int32_t* foff = g_->fanout_off();
     const std::int32_t* fo = g_->fanout();
     const std::int32_t* level_of = g_->level_of();
@@ -271,7 +250,7 @@ class WideProp {
       sched_stamp_[s] = cur_;
       // The sweep reaches `s` strictly later (deeper level); start pulling
       // its good row in now so the eval doesn't stall on it.
-      const std::uint64_t* gr = good_->row(s);
+      const std::uint64_t* gr = good_row(s);
       __builtin_prefetch(gr);
       __builtin_prefetch(gr + W);
       const int lvl = level_of[s];
@@ -308,26 +287,28 @@ class WideProp {
   /// Re-evaluates node `id` with fanin pin `pin` (or -1: none) overridden
   /// to the `srow` row, directly into its copy-on-write row.
   void eval_node(int id, int pin, const std::uint64_t* srow) {
-    const std::uint64_t* frp[16];
+    const std::uint64_t* frp[kMaxFanin];
     const std::int32_t* fin = g_->fanin();
     const std::int32_t lo = g_->fanin_off()[id];
     const int nf = g_->fanin_off()[id + 1] - lo;
-    assert(nf <= 16);
     for (int i = 0; i < nf; ++i)
       frp[i] = i == pin ? srow : row(fin[lo + i]);
     std::uint64_t* dst = &frows_[static_cast<std::size_t>(id) * 2 * W];
-    const std::uint64_t* old = stamp_[id] == cur_ ? dst : good_->row(id);
+    const std::uint64_t* old = stamp_[id] == cur_ ? dst : good_row(id);
     if (wide_eval_diff<W, V>(g_->type(id), frp, nf, old, dst)) touch(id);
   }
 
   /// The faulted pin/node row: stuck value in every lane, nothing unknown.
-  void stuck_row(const Fault& f, std::uint64_t* srow) const {
+  static void stuck_row(const Fault& f, std::uint64_t* srow) {
     for (int w = 0; w < W; ++w) {
       srow[w] = f.stuck_at_one ? ~0ULL : 0;
       srow[W + w] = 0;
     }
   }
 
+  /// Output faults force the node; input-pin faults re-evaluate the gate
+  /// with the pin forced. Pin faults on DFFs are ignored: the D pin is a
+  /// state-capture boundary, outside any combinational frame.
   void inject(const Fault& f) {
     std::uint64_t srow[2 * W];
     stuck_row(f, srow);
@@ -342,10 +323,9 @@ class WideProp {
   void drain(const Fault& f) {
     std::uint64_t srow[2 * W];
     stuck_row(f, srow);
-    // Scheduled nodes sit in per-level worklists (no scanning a level's
-    // position span for the few scheduled entries — cones here are small
-    // and the holes would dominate). A level's list is complete once the
-    // sweep reaches it: scheduling only ever targets deeper levels.
+    // A level's worklist is complete once the sweep reaches it:
+    // scheduling only ever targets deeper levels, so one ascending pass
+    // over the touched levels suffices.
     for (int lvl = min_lvl_; lvl <= max_lvl_; ++lvl) {
       if (lvl_stamp_[lvl] != cur_) continue;
       for (const int id : lvl_nodes_[lvl]) {
@@ -359,7 +339,7 @@ class WideProp {
   void po_diff(std::uint64_t* out) const {
     for (int w = 0; w < W; ++w) out[w] = 0;
     for (const int id : touched_pos_) {
-      const std::uint64_t* gr = good_->row(id);
+      const std::uint64_t* gr = good_row(id);
       const std::uint64_t* br = &frows_[static_cast<std::size_t>(id) * 2 * W];
       for (int w = 0; w < W; ++w)
         out[w] |= (gr[w] ^ br[w]) & ~gr[W + w] & ~br[W + w];
@@ -367,109 +347,151 @@ class WideProp {
   }
 
   const SimGraph* g_;
-  const WideGood<W>* good_ = nullptr;
+  const std::uint64_t* good_ = nullptr;
   std::vector<std::uint64_t> frows_;  ///< copy-on-write rows, 2W words/node
   std::vector<int> stamp_, sched_stamp_, po_stamp_;
   int cur_ = 0;
   std::vector<int> lvl_stamp_;
   std::vector<std::vector<int>> lvl_nodes_;  ///< scheduled ids per level
   int min_lvl_ = 0, max_lvl_ = -1;
-  std::vector<int> touched_pos_;
+  std::vector<int> touched_pos_;  ///< POs touched this epoch (deduplicated)
   long events_ = 0, faults_ = 0, last_events_ = 0;
 };
 
-/// One wide campaign over all blocks. Drop mode when `detected` is given
-/// (fault dropping plus ledger detect events, exactly the serial
-/// first-detection attribution); matrix mode when `matrix` is given (no
-/// dropping, every block's lane mask recorded).
+/// Propagates every fault whose `skip` flag is clear (all of them when
+/// `skip` is null) against the good rows, spreading the list over the first
+/// `workers` slots of `props` with chunked work stealing: each worker
+/// drains its own contiguous range, then steals chunks from the others.
+/// masks[i * W + w] receives fault i's detecting lanes in block w (zero for
+/// skipped faults). Afterwards the slots' work counters are published to
+/// the metrics registry and reset.
 template <int W, class V>
-void wide_campaign(const Netlist& n,
-                   const std::vector<std::vector<Bits>>& blocks,
-                   const std::vector<Fault>& faults,
-                   const FaultSimOptions& options, std::vector<bool>* detected,
-                   std::vector<std::uint64_t>* matrix) {
-  if (!n.flops().empty())
-    throw std::runtime_error(
-        "wide fault sim is combinational; expand state as PI/PO first");
+void propagate_faults(std::vector<WideProp<W, V>>& props, int workers,
+                      const std::uint64_t* good,
+                      const std::vector<Fault>& faults,
+                      const std::vector<bool>* skip, std::uint64_t* masks) {
+  const int count = static_cast<int>(faults.size());
+  const bool ledger_on = observe::ledger_enabled();
+  auto job = [&](int i, int slot) {
+    std::uint64_t* mw = masks + static_cast<std::size_t>(i) * W;
+    if (skip && (*skip)[i]) {
+      std::fill(mw, mw + W, 0);
+      return;
+    }
+    WideProp<W, V>& p = props[slot];
+    p.propagate(faults[i], good, mw);
+    if (ledger_on)
+      observe::record_sim_effort(observe::make_fault_key(faults[i]),
+                                 p.last_propagate_events());
+  };
+  if (workers <= 1) {
+    for (int i = 0; i < count; ++i) job(i, 0);
+  } else {
+    util::ThreadPool::shared().run_chunked(count, workers, kStealChunk, job);
+  }
+
+  // Publish off the hot path — worker counters are stable once
+  // run_chunked() has returned. Imbalance is the largest slot's share over
+  // the ideal equal share (1.0 = perfectly balanced, `workers` = one slot
+  // did everything).
+  static util::Counter& m_events =
+      util::metrics().counter("faultsim.ppsfp.events");
+  static util::Counter& m_sims =
+      util::metrics().counter("faultsim.ppsfp.faults_simulated");
+  long events = 0, done = 0, biggest = 0;
+  for (WideProp<W, V>& p : props) {
+    events += p.events_processed();
+    done += p.faults_propagated();
+    biggest = std::max(biggest, p.faults_propagated());
+    p.reset_work_counters();
+  }
+  m_events.add(events);
+  m_sims.add(done);
+  if (workers > 1 && done > 0)
+    util::metrics()
+        .gauge("faultsim.ppsfp.shard_imbalance")
+        .set(static_cast<double>(biggest) * workers /
+             static_cast<double>(done));
+}
+
+/// Loads PI rows for the super-block starting at block `base`. Blocks past
+/// the end of the campaign pad with all-X lanes; three-valued monotonicity
+/// makes them inert (an X-input lane detects nothing that a real lane
+/// does not) and the caller drops their masks.
+template <int W, class V>
+void wide_set_inputs(const SimGraph& g,
+                     const std::vector<std::vector<Bits>>& blocks,
+                     std::size_t base, std::vector<std::uint64_t>& good) {
+  const std::size_t nn = static_cast<std::size_t>(g.num_nodes());
+  good.assign(nn * 2 * W, 0);
+  for (std::size_t id = 0; id < nn; ++id) {  // default all lanes to X
+    std::uint64_t* rx = &good[id * 2 * W + W];
+    for (int w = 0; w < W; ++w) rx[w] = ~0ULL;
+  }
+  const auto& pis = g.pis();
+  for (std::size_t i = 0; i < pis.size(); ++i) {
+    std::uint64_t* r = &good[static_cast<std::size_t>(pis[i]) * 2 * W];
+    for (int w = 0; w < W; ++w) {
+      const std::size_t b = base + static_cast<std::size_t>(w);
+      if (b >= blocks.size() || i >= blocks[b].size()) continue;
+      r[w] = blocks[b][i].v;
+      r[W + w] = blocks[b][i].x;
+    }
+  }
+}
+
+/// Full good simulation of the preset rows (one levelized pass).
+template <int W, class V>
+void wide_simulate_good(const SimGraph& g, std::vector<std::uint64_t>& good) {
+  const std::uint64_t* frp[kMaxFanin];
+  const std::int32_t* foff = g.fanin_off();
+  const std::int32_t* fin = g.fanin();
+  for (const std::int32_t id : g.order()) {
+    const GateType t = g.type(id);
+    if (t == GateType::kInput || t == GateType::kDff) continue;
+    const std::int32_t lo = foff[id];
+    const int nf = foff[id + 1] - lo;
+    for (int i = 0; i < nf; ++i)
+      frp[i] = &good[static_cast<std::size_t>(fin[lo + i]) * 2 * W];
+    wide_eval_row<W, V>(t, frp, nf,
+                        &good[static_cast<std::size_t>(id) * 2 * W]);
+  }
+}
+
+/// No-drop detection matrix over all blocks, W blocks per good-machine
+/// pass and per fault propagation: matrix[f * blocks.size() + b] receives
+/// the lane mask of block b detecting fault f. `matrix` must be sized and
+/// the netlist combinational (the caller checks both).
+template <int W, class V>
+void wide_matrix(const Netlist& n,
+                 const std::vector<std::vector<Bits>>& blocks,
+                 const std::vector<Fault>& faults, int threads,
+                 std::uint64_t* matrix) {
   const SimGraph& g = SimGraph::of(n);  // built before workers fan out
   const int count = static_cast<int>(faults.size());
   const std::size_t nb = blocks.size();
-  if (count == 0 || nb == 0) return;
   const std::size_t nsuper = (nb + W - 1) / W;
-  const int workers = std::min(options.resolved_threads(), count);
+  const int workers = std::max(1, std::min(threads, count));
   std::vector<WideProp<W, V>> props;
-  props.reserve(static_cast<std::size_t>(std::max(workers, 1)));
-  for (int w = 0; w < std::max(workers, 1); ++w) props.emplace_back(g);
+  props.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) props.emplace_back(g);
 
-  WideGood<W> good;
+  std::vector<std::uint64_t> good;
   std::vector<std::uint64_t> block_masks(static_cast<std::size_t>(count) * W);
-  const bool ledger_on = observe::ledger_enabled();
-  long newly = 0, blocks_done = 0;
+  static util::Progress& p_patterns = util::progress("sim.patterns");
   for (std::size_t s = 0; s < nsuper; ++s) {
     wide_set_inputs<W, V>(g, blocks, s * W, good);
     wide_simulate_good<W, V>(g, good);
-    auto job = [&](int i, int slot) {
-      std::uint64_t* mw = &block_masks[static_cast<std::size_t>(i) * W];
-      if (detected && (*detected)[i]) {
-        std::fill(mw, mw + W, 0);
-        return;
-      }
-      props[slot].propagate(faults[i], good, mw);
-      if (ledger_on)
-        observe::record_sim_effort(observe::make_fault_key(faults[i]),
-                                   props[slot].last_events());
-    };
-    if (workers <= 1) {
-      for (int i = 0; i < count; ++i) job(i, 0);
-    } else {
-      util::ThreadPool::shared().run_chunked(count, workers, kWideStealChunk,
-                                             job);
-    }
-    const int real = static_cast<int>(
-        std::min<std::size_t>(W, nb - s * W));  // blocks, minus padding
-    if (detected) {
-      const long pattern_base = 64 * static_cast<long>(s * W);
-      for (int i = 0; i < count; ++i) {
-        if ((*detected)[i]) continue;
-        const std::uint64_t* mw =
-            &block_masks[static_cast<std::size_t>(i) * W];
-        for (int w = 0; w < W; ++w) {
-          if (mw[w] == 0) continue;
-          (*detected)[i] = true;
-          ++newly;
-          if (ledger_on)
-            observe::record_detected(
-                observe::make_fault_key(faults[i]),
-                pattern_base + 64 * w + std::countr_zero(mw[w]));
-          break;
-        }
-      }
-    }
-    if (matrix) {
-      for (int i = 0; i < count; ++i) {
-        const std::uint64_t* mw =
-            &block_masks[static_cast<std::size_t>(i) * W];
-        std::uint64_t* row = &(*matrix)[static_cast<std::size_t>(i) * nb];
-        for (int w = 0; w < real; ++w) row[s * W + w] = mw[w];
-      }
-    }
-    blocks_done += real;
+    propagate_faults<W, V>(props, workers, good.data(), faults, nullptr,
+                           block_masks.data());
+    const std::size_t real = std::min<std::size_t>(W, nb - s * W);
+    for (int i = 0; i < count; ++i)
+      std::copy_n(&block_masks[static_cast<std::size_t>(i) * W], real,
+                  matrix + static_cast<std::size_t>(i) * nb + s * W);
     // Live progress after each good-machine pass, not once at the end, so
     // heartbeats see pattern-grained advance inside long campaigns.
-    static util::Progress& p_patterns = util::progress("sim.patterns");
     p_patterns.add(64 * static_cast<std::int64_t>(real));
   }
-
-  long events = 0, done = 0;
-  for (WideProp<W, V>& p : props) {
-    events += p.events();
-    done += p.faults();
-    p.reset_work_counters();
-  }
-  util::metrics().counter("faultsim.ppsfp.events").add(events);
-  util::metrics().counter("faultsim.ppsfp.faults_simulated").add(done);
-  util::metrics().counter("faultsim.ppsfp.blocks").add(blocks_done);
-  util::metrics().counter("faultsim.ppsfp.faults_detected").add(newly);
   util::metrics()
       .counter("faultsim.wide.super_blocks")
       .add(static_cast<long>(nsuper));
@@ -479,23 +501,13 @@ void wide_campaign(const Netlist& n,
 // Per-ISA entry points, defined in faultsim_avx2.cpp / faultsim_avx512.cpp
 // when the build compiled them (TSYN_WIDE_AVX2 / TSYN_WIDE_AVX512). Only
 // call after active_simd_backend() confirms the CPU has the ISA.
-void wide_campaign_avx2_w4(const Netlist& n,
+void wide_matrix_avx2_w8(const Netlist& n,
+                         const std::vector<std::vector<Bits>>& blocks,
+                         const std::vector<Fault>& faults, int threads,
+                         std::uint64_t* matrix);
+void wide_matrix_avx512_w8(const Netlist& n,
                            const std::vector<std::vector<Bits>>& blocks,
-                           const std::vector<Fault>& faults,
-                           const FaultSimOptions& options,
-                           std::vector<bool>* detected,
-                           std::vector<std::uint64_t>* matrix);
-void wide_campaign_avx2_w8(const Netlist& n,
-                           const std::vector<std::vector<Bits>>& blocks,
-                           const std::vector<Fault>& faults,
-                           const FaultSimOptions& options,
-                           std::vector<bool>* detected,
-                           std::vector<std::uint64_t>* matrix);
-void wide_campaign_avx512_w8(const Netlist& n,
-                             const std::vector<std::vector<Bits>>& blocks,
-                             const std::vector<Fault>& faults,
-                             const FaultSimOptions& options,
-                             std::vector<bool>* detected,
-                             std::vector<std::uint64_t>* matrix);
+                           const std::vector<Fault>& faults, int threads,
+                           std::uint64_t* matrix);
 
 }  // namespace tsyn::gl::wide_detail

@@ -97,6 +97,9 @@ int Netlist::add_gate(GateType type, const std::vector<int>& fanins,
     throw std::runtime_error("gate arity mismatch for " + to_string(type));
   if (arity < 0 && fanins.size() < 2)
     throw std::runtime_error("n-ary gate needs >= 2 fanins");
+  if (arity < 0 && fanins.size() > static_cast<std::size_t>(kMaxFanin))
+    throw std::runtime_error("n-ary gate has more than " +
+                             std::to_string(kMaxFanin) + " fanins");
   for (int f : fanins)
     if (f < 0 || f >= num_nodes())
       throw std::runtime_error("bad fanin id");
@@ -175,6 +178,9 @@ int Netlist::add_gate_raw(GateType type, const std::vector<int>& fanins,
     throw std::runtime_error("gate arity mismatch for " + to_string(type));
   if (arity < 0 && fanins.size() < 2)
     throw std::runtime_error("n-ary gate needs >= 2 fanins");
+  if (arity < 0 && fanins.size() > static_cast<std::size_t>(kMaxFanin))
+    throw std::runtime_error("n-ary gate has more than " +
+                             std::to_string(kMaxFanin) + " fanins");
   for (int f : fanins)
     if (f < 0 || f >= num_nodes())
       throw std::runtime_error("bad fanin id");
@@ -292,7 +298,7 @@ void simulate_frame(const Netlist& n, std::vector<Bits>& values) {
   // Runs on the compiled SoA form: flat fanin arena, levelized order —
   // one indexed load per pin instead of chasing per-node heap vectors.
   const SimGraph& g = SimGraph::of(n);
-  Bits fanin_vals[16];
+  Bits fanin_vals[kMaxFanin];
   const std::int32_t* fanin = g.fanin();
   const std::int32_t* off = g.fanin_off();
   Bits* vals = values.data();
@@ -302,7 +308,6 @@ void simulate_frame(const Netlist& n, std::vector<Bits>& values) {
       continue;  // sources, preset by the caller
     const std::int32_t lo = off[id];
     const int nf = off[id + 1] - lo;
-    assert(nf <= 16);
     for (int i = 0; i < nf; ++i) fanin_vals[i] = vals[fanin[lo + i]];
     vals[id] = eval_gate(type, fanin_vals, nf);
   }

@@ -34,6 +34,12 @@ enum class GateType {
 
 std::string to_string(GateType t);
 
+/// Most fanins an n-ary gate (AND/OR/NAND/NOR) may have. Netlist::add_gate
+/// rejects wider gates, so every simulator and ATPG engine can gather a
+/// gate's fanin values into a fixed buffer of this size; builders that
+/// need a wider function split it into a tree (expand.cpp).
+constexpr int kMaxFanin = 16;
+
 struct Node {
   GateType type = GateType::kBuf;
   std::vector<int> fanins;
@@ -127,10 +133,10 @@ class Netlist {
 };
 
 /// Evaluates one combinational gate from fanin values. Header-inline so
-/// the simulation hot loops (simulate_frame, FaultPropagator::drain) fold
+/// the simulation hot loops (simulate_frame, sequential_fault_sim) fold
 /// the whole evaluation into one switch instead of an out-of-line call;
-/// the wide-lane kernels in widebits.h are these same formulas lifted to
-/// W words and must stay bit-identical at W=1.
+/// the fault engine's kernels in widebits.h are these same formulas
+/// lifted to W words and must stay bit-identical at W=1.
 inline Bits eval_gate(GateType type, const Bits* in, int num_fanins) {
   auto and2 = [](Bits a, Bits b) {
     Bits r;

@@ -1,10 +1,11 @@
 // Wide-lane three-valued values and the SIMD kernel layer under them.
 //
-// `Bits` carries 64 pattern lanes in one {v, x} word pair; `WideBits<W>`
-// widens that to W×64 lanes (W ∈ {1, 4, 8} → 64/256/512 patterns) so one
-// good-machine pass and one fault propagation grade a whole super-block.
-// The gate kernels are written once against a small "word vector" concept
-// (bitwise ops over K machine words) and instantiated per backend:
+// `Bits` carries 64 pattern lanes in one {v, x} word pair; the fault
+// engine (faultsim_wide.h) widens that to rows of W×64 lanes (W ∈ {1, 8}
+// → 64/512 patterns) so one good-machine pass and one fault propagation
+// grade a whole super-block. The gate kernels are written once against a
+// small "word vector" concept (bitwise ops over K machine words) and
+// instantiated per backend:
 //
 //  - ScalarWords<W>: plain uint64 loops, always built, auto-vectorizable;
 //  - Avx2Words / Avx512Words: 256/512-bit intrinsic paths, visible only in
@@ -13,7 +14,7 @@
 //    gated on compiler support and advertised via TSYN_WIDE_AVX2 /
 //    TSYN_WIDE_AVX512) while the rest of the binary stays portable.
 //
-// Backend choice happens per wide pass (never per gate) from what the
+// Backend choice happens per 512-lane matrix (never per gate) from what the
 // running CPU supports among the compiled-in kernel TUs, demoted by the
 // TSYN_FORCE_SCALAR=1 environment override that forces the scalar path
 // for differential testing. All backends compute bit-identical results —
@@ -32,29 +33,6 @@
 #include "gatelevel/netlist.h"
 
 namespace tsyn::gl {
-
-/// W×64 pattern lanes of three-valued logic, stored as W value words then
-/// W unknown-mask words. Word w holds lanes [64w, 64w+63]; lane semantics
-/// match `Bits` exactly (x bit set = unknown, else v bit = value).
-template <int W>
-struct WideBits {
-  static_assert(W >= 1, "lane width must be positive");
-  std::uint64_t v[W];
-  std::uint64_t x[W];
-
-  static WideBits unknown() {
-    WideBits b;
-    for (int w = 0; w < W; ++w) {
-      b.v[w] = 0;
-      b.x[w] = ~0ULL;
-    }
-    return b;
-  }
-
-  bool operator==(const WideBits& o) const {
-    return std::memcmp(this, &o, sizeof(WideBits)) == 0;
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Backend selection.

@@ -221,6 +221,41 @@ TEST(Grading, DetectionMatrixMatchesCoverage) {
                                      gl::FaultSimOptions{0}));
 }
 
+// detection_matrix is gl::detection_masks reshaped to one row per fault,
+// with the padding lanes of the last block masked off — at any thread
+// count, for a pattern count that leaves a partial block.
+TEST(Grading, DetectionMatrixIsReshapedDetectionMasks) {
+  const Netlist n = small_adder(4);
+  const auto faults = gl::enumerate_faults(n);
+  std::vector<TestCube> patterns;
+  util::Rng rng(9);
+  for (int p = 0; p < 150; ++p) {  // 2 full blocks + 22 patterns
+    TestCube c(n.primary_inputs().size());
+    for (V& v : c) v = rng.next_bool() ? V::k1 : V::k0;
+    patterns.push_back(c);
+  }
+  const auto blocks = patterns_to_blocks(patterns);
+  const std::size_t nb = blocks.size();
+  ASSERT_EQ(nb, 3u);
+  std::vector<std::uint64_t> masks;
+  gl::detection_masks(n, blocks, faults, masks, gl::FaultSimOptions{1});
+  const std::uint64_t tail_valid = (1ULL << (patterns.size() % 64)) - 1;
+  for (int threads : {1, 2, 8}) {
+    const auto matrix = detection_matrix(n, patterns, faults,
+                                         gl::FaultSimOptions{threads});
+    ASSERT_EQ(matrix.size(), faults.size());
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      ASSERT_EQ(matrix[f].size(), nb);
+      for (std::size_t b = 0; b < nb; ++b) {
+        const std::uint64_t want =
+            b + 1 == nb ? masks[f * nb + b] & tail_valid : masks[f * nb + b];
+        EXPECT_EQ(matrix[f][b], want)
+            << "threads " << threads << " fault " << f << " block " << b;
+      }
+    }
+  }
+}
+
 TEST(Grading, ReverseOrderPruneKeepsCoverageDropsDuplicates) {
   const Netlist n = small_adder(4);
   const auto faults = gl::enumerate_faults(n);

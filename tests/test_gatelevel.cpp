@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "cdfg/benchmarks.h"
+#include "cdfg/generator.h"
 #include "gatelevel/bistgen.h"
 #include "gatelevel/expand.h"
 #include "gatelevel/faults.h"
@@ -264,6 +266,41 @@ TEST(FaultSim, SequentialDetection) {
   const auto one = sequential_fault_sim(
       n, {{Bits::all1()}}, faults);
   EXPECT_FALSE(one[0]);
+}
+
+// Gates wider than kMaxFanin are rejected at construction, so no engine's
+// fixed fanin buffer can overflow; the expander splits wide decodes into
+// trees instead. This controller expansion builds a 17-term decode OR.
+TEST(Expand, WideControllerDecodeStaysWithinMaxFanin) {
+  Netlist bad;
+  std::vector<int> ins;
+  for (int i = 0; i <= kMaxFanin; ++i) ins.push_back(bad.add_input());
+  EXPECT_THROW(bad.add_gate(GateType::kOr, ins), std::runtime_error);
+  EXPECT_THROW(bad.add_gate_raw(GateType::kAnd, ins), std::runtime_error);
+
+  cdfg::GeneratorParams p;
+  p.num_ops = 160;
+  p.num_inputs = 8;
+  p.num_states = 4;
+  p.seed = 23;
+  const hls::Synthesis syn = hls::synthesize(cdfg::random_cdfg(p));
+  ExpandOptions opts;
+  opts.width_override = 4;
+  opts.controller = &syn.rtl.controller;
+  const ExpandedDesign x = expand_datapath(syn.rtl.datapath, opts);
+  const Netlist& n = x.netlist;
+  ASSERT_FALSE(n.flops().empty());
+  for (const Node& node : n.nodes())
+    EXPECT_LE(static_cast<int>(node.fanins.size()), kMaxFanin);
+
+  const auto frames = lfsr_pattern_blocks(
+      static_cast<int>(n.primary_inputs().size()), 6, 23);
+  const auto trace = simulate_sequence(n, frames);
+  ASSERT_EQ(trace.size(), frames.size());
+  std::vector<Fault> faults = enumerate_faults(n);
+  if (faults.size() > 400) faults.resize(400);
+  EXPECT_EQ(sequential_fault_sim(n, frames, faults, FaultSimOptions{2}),
+            sequential_fault_sim_full_resim(n, frames, faults));
 }
 
 TEST(Expand, FullScanDatapathIsCombinational) {

@@ -1,13 +1,15 @@
 // The compiled SoA simulation core: SimGraph lowering must mirror the
 // Netlist exactly, the levelized engines must match a direct reference
-// evaluation bit for bit, the wide-lane (256/512) engines must reproduce
-// serial 64-lane grading — detected set AND first-detecting pattern — and
-// the work-stealing shard must be invisible in every result, ledger JSON
-// included.
+// evaluation bit for bit, the detection matrix (64-lane below 8 blocks,
+// 512-lane from 8 up) must agree with fault-dropping grading — detected
+// set AND first-detecting pattern — and the work-stealing shard must be
+// invisible in every result, ledger JSON included.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
+#include <map>
 #include <stdexcept>
 #include <set>
 #include <string>
@@ -57,7 +59,7 @@ gl::Netlist random_netlist(std::uint64_t seed, int gates = 80,
 // Direct Netlist-walking frame evaluation — the shape simulate_frame had
 // before the SoA port, kept here as the equivalence oracle.
 void reference_frame(const gl::Netlist& n, std::vector<gl::Bits>& values) {
-  gl::Bits fanin_vals[16];
+  gl::Bits fanin_vals[gl::kMaxFanin];
   for (int id : n.topo_order()) {
     const gl::Node& node = n.node(id);
     if (node.type == gl::GateType::kInput || node.type == gl::GateType::kDff)
@@ -178,82 +180,104 @@ TEST(SimGraph, CacheRebuildsAfterStructuralEdit) {
   }
 }
 
-// Wide grading must reproduce serial 64-lane grading exactly: the same
-// detected set and the same first-detecting pattern, including campaigns
-// whose block count does not divide the super-block width (padding lanes).
-TEST(SimGraph, WideCoverageMatchesSerial64) {
+// Every detected set the engines report must agree: the matrix (64-lane
+// engine below 8 blocks, 512-lane engine from 8 up, including block
+// counts that leave a padded super-block) flags exactly the faults the
+// fault-dropping grade detects.
+TEST(SimGraph, MatrixDetectedSetMatchesDropGrading) {
   for (std::uint64_t seed : {41ULL, 42ULL}) {
     const gl::Netlist n = random_netlist(seed, 160, 10);
     const auto faults = gl::enumerate_faults(n);
-    for (int nblocks : {1, 3, 8, 9}) {  // 9: pads both W=4 and W=8
+    for (int nblocks : {1, 3, 8, 9}) {  // 9: one full and one padded pass
       const auto blocks = gl::lfsr_pattern_blocks(
           static_cast<int>(n.primary_inputs().size()), nblocks, seed);
       gl::FaultSimOptions serial;
       serial.num_threads = 1;
-      std::vector<bool> det64;
-      const double cov64 = gl::fault_coverage(n, blocks, faults, &det64,
-                                              serial);
-      for (int lanes : {256, 512}) {
-        gl::FaultSimOptions wide = serial;
-        wide.lanes = lanes;
-        std::vector<bool> detw;
-        const double covw = gl::fault_coverage(n, blocks, faults, &detw,
-                                               wide);
-        EXPECT_EQ(covw, cov64) << "lanes " << lanes;
-        EXPECT_EQ(detw, det64) << "lanes " << lanes;
+      std::vector<bool> dropped;
+      const double cov = gl::fault_coverage(n, blocks, faults, &dropped,
+                                            serial);
+      std::vector<std::uint64_t> masks;
+      gl::detection_masks(n, blocks, faults, masks, serial);
+      std::vector<bool> matrix_det(faults.size(), false);
+      long hit = 0;
+      for (std::size_t f = 0; f < faults.size(); ++f) {
+        for (int b = 0; b < nblocks; ++b)
+          if (masks[f * nblocks + b] != 0) matrix_det[f] = true;
+        hit += matrix_det[f];
       }
+      EXPECT_EQ(matrix_det, dropped) << "blocks " << nblocks;
+      EXPECT_EQ(static_cast<double>(hit) / faults.size(), cov)
+          << "blocks " << nblocks;
     }
   }
 }
 
-TEST(SimGraph, WideFirstDetectionPatternsMatchSerial64) {
+// The ledger's first-detecting pattern from the fault-dropping grade is
+// the first set bit of the fault's matrix row, on both matrix widths.
+TEST(SimGraph, MatrixFirstSetBitMatchesLedgerFirstDetect) {
   const gl::Netlist n = random_netlist(43, 160, 10);
   const auto faults = gl::enumerate_faults(n);
-  const auto blocks = gl::lfsr_pattern_blocks(
-      static_cast<int>(n.primary_inputs().size()), 6, 43);
-
-  auto first_detects = [&](int lanes) {
-    observe::ledger_reset();
-    observe::ledger_enable();
+  for (int nblocks : {6, 9}) {
+    const auto blocks = gl::lfsr_pattern_blocks(
+        static_cast<int>(n.primary_inputs().size()), nblocks, 43);
     gl::FaultSimOptions o;
     o.num_threads = 1;
-    o.lanes = lanes;
+    observe::ledger_reset();
+    observe::ledger_enable();
     gl::fault_coverage(n, blocks, faults, nullptr, o);
     observe::ledger_disable();
     const observe::LedgerSnapshot snap = observe::ledger_snapshot();
     observe::ledger_reset();
-    std::vector<std::int64_t> firsts;
-    for (const auto& j : snap.journeys)
-      firsts.push_back(j.first_detect_pattern);
-    return firsts;
-  };
-  const auto serial = first_detects(64);
-  EXPECT_EQ(first_detects(256), serial);
-  EXPECT_EQ(first_detects(512), serial);
+    std::vector<std::uint64_t> masks;
+    gl::detection_masks(n, blocks, faults, masks, o);
+
+    std::map<observe::FaultKey, std::int64_t> first_bit;
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      std::int64_t first = -1;
+      for (int b = 0; b < nblocks && first < 0; ++b) {
+        const std::uint64_t w = masks[f * nblocks + b];
+        if (w != 0) first = 64 * b + std::countr_zero(w);
+      }
+      first_bit[observe::FaultKey{faults[f].node, faults[f].fanin_index,
+                                  faults[f].stuck_at_one ? 1 : 0}] = first;
+    }
+    ASSERT_EQ(snap.journeys.size(), faults.size());
+    for (const auto& j : snap.journeys) {
+      const auto it = first_bit.find(j.key);
+      ASSERT_NE(it, first_bit.end());
+      EXPECT_EQ(j.first_detect_pattern, it->second)
+          << "blocks " << nblocks << " node " << j.key.node;
+    }
+  }
 }
 
-TEST(SimGraph, WideDetectionMasksMatchSerial64) {
+// A 9-block matrix runs one full 512-lane pass plus one padded with eight
+// inert all-X blocks; it must equal nine independent single-block
+// (64-lane) matrices column by column.
+TEST(SimGraph, NineBlockMatrixMatchesSingleBlockCalls) {
   const gl::Netlist n = random_netlist(44, 140, 9);
   const auto faults = gl::enumerate_faults(n);
   const auto blocks = gl::lfsr_pattern_blocks(
-      static_cast<int>(n.primary_inputs().size()), 5, 44);
+      static_cast<int>(n.primary_inputs().size()), 9, 44);
   gl::FaultSimOptions o;
   o.num_threads = 1;
-  std::vector<std::uint64_t> m64;
-  gl::detection_masks(n, blocks, faults, m64, o);
-  ASSERT_EQ(m64.size(), faults.size() * blocks.size());
-  for (int lanes : {256, 512}) {
-    gl::FaultSimOptions wide = o;
-    wide.lanes = lanes;
-    std::vector<std::uint64_t> mw;
-    gl::detection_masks(n, blocks, faults, mw, wide);
-    EXPECT_EQ(mw, m64) << "lanes " << lanes;
+  std::vector<std::uint64_t> wide;
+  gl::detection_masks(n, blocks, faults, wide, o);
+  ASSERT_EQ(wide.size(), faults.size() * blocks.size());
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    std::vector<std::uint64_t> one;
+    gl::detection_masks(n, {blocks[b]}, faults, one, o);
+    ASSERT_EQ(one.size(), faults.size());
+    for (std::size_t f = 0; f < faults.size(); ++f)
+      EXPECT_EQ(wide[f * blocks.size() + b], one[f])
+          << "block " << b << " fault " << f;
   }
 }
 
 // TSYN_FORCE_SCALAR must not change any result — on SIMD builds this is
-// the scalar-vs-vector differential; on scalar builds it proves the
-// override path is at least wired through.
+// the scalar-vs-vector differential (8 blocks: the 512-lane engine, the
+// only SIMD-dispatched path); on scalar builds it proves the override
+// path is at least wired through.
 TEST(SimGraph, ForcedScalarBackendIsBitIdentical) {
   const gl::Netlist n = random_netlist(45, 150, 10);
   const auto faults = gl::enumerate_faults(n);
@@ -261,7 +285,6 @@ TEST(SimGraph, ForcedScalarBackendIsBitIdentical) {
       static_cast<int>(n.primary_inputs().size()), 8, 45);
   gl::FaultSimOptions o;
   o.num_threads = 1;
-  o.lanes = 512;
   std::vector<std::uint64_t> native;
   gl::detection_masks(n, blocks, faults, native, o);
 
@@ -274,21 +297,21 @@ TEST(SimGraph, ForcedScalarBackendIsBitIdentical) {
   EXPECT_EQ(scalar, native);
 }
 
-// The work-stealing shard must be invisible: coverage, detected set, and
-// the ledger JSON byte-identical at every thread count, narrow and wide.
+// The work-stealing shard must be invisible: detected set and ledger JSON
+// of the fault-dropping grade, and masks and ledger JSON of the 512-lane
+// matrix, byte-identical at every thread count.
 TEST(SimGraph, ThreadCountInvarianceIncludingLedger) {
   const gl::Netlist n = random_netlist(46, 160, 10);
   const auto faults = gl::enumerate_faults(n);
-  const auto blocks = gl::lfsr_pattern_blocks(
-      static_cast<int>(n.primary_inputs().size()), 4, 46);
-
-  for (int lanes : {64, 512}) {
-    std::string base_json;
+  for (int nblocks : {4, 8}) {
+    const auto blocks = gl::lfsr_pattern_blocks(
+        static_cast<int>(n.primary_inputs().size()), nblocks, 46);
+    std::string base_json, base_matrix_json;
     std::vector<bool> base_det;
+    std::vector<std::uint64_t> base_masks;
     for (int threads : {1, 2, 8}) {
       gl::FaultSimOptions o;
       o.num_threads = threads;
-      o.lanes = lanes;
       observe::ledger_reset();
       observe::ledger_enable();
       std::vector<bool> det;
@@ -296,14 +319,26 @@ TEST(SimGraph, ThreadCountInvarianceIncludingLedger) {
       observe::ledger_disable();
       const std::string json = observe::ledger_to_json();
       observe::ledger_reset();
+      observe::ledger_enable();
+      std::vector<std::uint64_t> masks;
+      gl::detection_masks(n, blocks, faults, masks, o);
+      observe::ledger_disable();
+      const std::string matrix_json = observe::ledger_to_json();
+      observe::ledger_reset();
       if (threads == 1) {
         base_json = json;
         base_det = det;
+        base_matrix_json = matrix_json;
+        base_masks = masks;
       } else {
-        EXPECT_EQ(det, base_det) << "lanes " << lanes << " threads "
+        EXPECT_EQ(det, base_det) << "blocks " << nblocks << " threads "
                                  << threads;
-        EXPECT_EQ(json, base_json) << "lanes " << lanes << " threads "
+        EXPECT_EQ(json, base_json) << "blocks " << nblocks << " threads "
                                    << threads;
+        EXPECT_EQ(masks, base_masks) << "blocks " << nblocks << " threads "
+                                     << threads;
+        EXPECT_EQ(matrix_json, base_matrix_json)
+            << "blocks " << nblocks << " threads " << threads;
       }
     }
   }

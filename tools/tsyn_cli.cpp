@@ -482,7 +482,7 @@ void gatelevel_quicklook(const rtl::Datapath& dp) {
   };
 
   if (ed.sequential()) {
-    // 64 lanes x 8 frames of random vectors through the event-driven
+    // 64 lanes x 8 frames of random vectors through the dense
     // sequential engine, then bounded sequential ATPG on a fault slice.
     std::vector<std::vector<gl::Bits>> frames;
     for (int f = 0; f < 8; ++f) frames.push_back(random_frame());
