@@ -7,10 +7,8 @@
 //  (2) sequential: the reference full-resimulation-per-fault simulator vs
 //      the dense SimGraph engine (serial and sharded) on the EXP-SEQATPG
 //      circuits and non-scan datapath expansions;
-//  (3) soa: the detection-matrix width rule — nine 1-block matrices (the
-//      64-lane engine) against one 9-block matrix (the 512-lane engine,
-//      one full and one padded pass), the dropping grade, the one-time
-//      lowering cost, and the 9-block matrix across thread counts;
+//  (3) soa: the one-time SimGraph lowering cost, the dropping grade, and
+//      a 9-block detection matrix across thread counts;
 // plus the recording overhead of the ledger, provenance, telemetry and
 // the scraped observability endpoint on the same engine shapes.
 //
@@ -36,7 +34,6 @@
 #include "gatelevel/faults.h"
 #include "gatelevel/faultsim.h"
 #include "gatelevel/simgraph.h"
-#include "gatelevel/widebits.h"
 #include "observe/ledger.h"
 #include "observe/profile.h"
 #include "observe/serve.h"
@@ -527,26 +524,19 @@ struct SoaThreadRow {
 
 struct SoaCase {
   std::string circuit;
-  std::string backend;  ///< SIMD kernel set the 512-lane engine dispatched to
   int gates = 0;
   std::size_t faults = 0;
   int blocks = 0;
   double lower_ms = 0;  ///< Netlist -> SimGraph lowering, paid once
   double coverage = 0;
   double drop_ms = 0;    ///< dropping coverage pass (fault_coverage)
-  double matrix_single_blocks_ms = 0;  ///< `blocks` 1-block matrices
-  double matrix_ms = 0;  ///< one `blocks`-block matrix
-  double matrix_speedup() const {
-    return matrix_ms > 0 ? matrix_single_blocks_ms / matrix_ms : kSkipped;
-  }
   std::vector<SoaThreadRow> threads;
 };
 
-/// The detection-matrix width rule on one netlist: `blocks` single-block
-/// detection_masks calls (each below the 8-block threshold: the 64-lane
-/// engine) against one `blocks`-block call (the 512-lane engine), plus the
-/// dropping grade, the one-time lowering cost, and the wide matrix across
-/// thread counts. Every matrix is cross-checked bit for bit.
+/// The compiled core on one netlist: the one-time lowering cost, the
+/// dropping grade, and a `blocks`-block detection matrix across thread
+/// counts. Every multi-threaded matrix is cross-checked bit for bit
+/// against the serial one.
 SoaCase soa_case(const std::string& name, const gl::Netlist& n,
                  int blocks_count, int reps) {
   const auto faults = gl::enumerate_faults(n);
@@ -554,7 +544,6 @@ SoaCase soa_case(const std::string& name, const gl::Netlist& n,
       static_cast<int>(n.primary_inputs().size()), blocks_count, 0x5EED);
   SoaCase sc;
   sc.circuit = name;
-  sc.backend = gl::to_string(gl::active_simd_backend());
   sc.gates = n.gate_count();
   sc.faults = faults.size();
   sc.blocks = blocks_count;
@@ -576,23 +565,8 @@ SoaCase soa_case(const std::string& name, const gl::Netlist& n,
         sc.coverage = gl::fault_coverage(n, blocks, faults, nullptr, serial);
       },
       reps);
-  std::vector<std::uint64_t> single(faults.size() * blocks.size());
-  sc.matrix_single_blocks_ms = median_ms(
-      [&] {
-        std::vector<std::uint64_t> col;
-        for (std::size_t b = 0; b < blocks.size(); ++b) {
-          gl::detection_masks(n, {blocks[b]}, faults, col, serial);
-          for (std::size_t f = 0; f < faults.size(); ++f)
-            single[f * blocks.size() + b] = col[f];
-        }
-      },
-      reps);
   std::vector<std::uint64_t> masks;
-  sc.matrix_ms = median_ms(
-      [&] { gl::detection_masks(n, blocks, faults, masks, serial); }, reps);
-  if (masks != single)
-    std::fprintf(stderr, "WARNING: %s wide matrix differs from 1-block\n",
-                 name.c_str());
+  gl::detection_masks(n, blocks, faults, masks, serial);
 
   const int hw = gl::FaultSimOptions{}.resolved_threads();
   for (const int t : {1, 2, 4}) {
@@ -683,16 +657,13 @@ void write_json(const std::vector<PpsfpRow>& ppsfp,
   for (std::size_t i = 0; i < soa.size(); ++i) {
     const SoaCase& c = soa[i];
     std::fprintf(f,
-                 "    {\"circuit\": \"%s\", \"backend\": \"%s\", "
+                 "    {\"circuit\": \"%s\", "
                  "\"gates\": %d, \"faults\": %zu, \"blocks\": %d, "
                  "\"lower_ms\": %.3f, \"coverage\": %.4f, "
-                 "\"drop_ms\": %.3f, \"matrix_single_blocks_ms\": %.3f, "
-                 "\"matrix_ms\": %.3f, \"matrix_speedup\": %s,\n"
+                 "\"drop_ms\": %.3f,\n"
                  "     \"threads\": [\n",
-                 c.circuit.c_str(), c.backend.c_str(), c.gates, c.faults,
-                 c.blocks, c.lower_ms, c.coverage, c.drop_ms,
-                 c.matrix_single_blocks_ms, c.matrix_ms,
-                 num_or_null(c.matrix_speedup(), 2).c_str());
+                 c.circuit.c_str(), c.gates, c.faults, c.blocks, c.lower_ms,
+                 c.coverage, c.drop_ms);
     for (std::size_t t = 0; t < c.threads.size(); ++t) {
       const SoaThreadRow& r = c.threads[t];
       std::fprintf(f,
@@ -742,10 +713,8 @@ int main() {
   bench::print_header(
       "PERF-FAULTSIM",
       "Engine claim: sharding the fault list over workers scales PPSFP with "
-      "the\nhardware, the 512-lane engine grades a 9-block detection matrix "
-      "faster\nthan nine 64-lane matrices, and the dense sequential engine "
-      "on the\nSimGraph arrays is no slower than full per-fault "
-      "resimulation.");
+      "the\nhardware, and the dense sequential engine on the SimGraph arrays "
+      "is no\nslower than full per-fault resimulation.");
   std::printf("hardware threads: %d\n\n", hw);
 
   std::vector<PpsfpRow> ppsfp;
@@ -780,23 +749,16 @@ int main() {
                 fmt_or_dash(r.parallel_ms, 1), fmt_or_dash(r.speedup(), 2)});
   bench::print_table(pt);
 
-  // Width-rule rows: nine 1-block matrices (64-lane engine) against one
-  // 9-block matrix (512-lane engine), the dropping grade, the 9-block
-  // matrix per thread count, plus the one-time lowering cost. The headline
-  // claim is the matrix speedup on the largest netlist.
+  // Compiled-core rows: the one-time lowering cost, the dropping grade,
+  // and the 9-block matrix per thread count.
   std::vector<SoaCase> soa;
   soa.push_back(soa_case("diffeq_scan_w8", diffeq_scan, 9, 5));
   soa.push_back(soa_case("random160_scan_w8", random160_scan, 9, 3));
 
-  util::Table wt({"circuit", "backend", "blocks", "coverage", "drop ms",
-                  "9 x 1-block matrix ms", "9-block matrix ms",
-                  "matrix speedup", "lower ms"});
+  util::Table wt({"circuit", "blocks", "coverage", "drop ms", "lower ms"});
   for (const SoaCase& c : soa)
-    wt.add_row({c.circuit, c.backend, std::to_string(c.blocks),
-                util::fmt(c.coverage, 4), util::fmt(c.drop_ms, 1),
-                util::fmt(c.matrix_single_blocks_ms, 1),
-                util::fmt(c.matrix_ms, 1), fmt_or_dash(c.matrix_speedup(), 2),
-                util::fmt(c.lower_ms, 2)});
+    wt.add_row({c.circuit, std::to_string(c.blocks), util::fmt(c.coverage, 4),
+                util::fmt(c.drop_ms, 1), util::fmt(c.lower_ms, 2)});
   bench::print_table(wt);
 
   util::Table tt({"case", "threads", "9-block matrix ms"});
@@ -972,11 +934,10 @@ int main() {
       "Wrote BENCH_faultsim.json. Shape check: PPSFP speedup should track "
       "the\nhardware thread count (>= 3x on >= 4 cores, skipped on 1 core); "
       "the\ndense sequential engine's algorithmic speedup over full resim "
-      "should be\n>= 1 on every circuit; the 9-block matrix (one full and "
-      "one padded\n512-lane pass) should beat nine 1-block matrices by >= 2x "
-      "on both\nnetlists; ledger recording overhead should stay within 5%%; "
-      "provenance\nrecording within 2%%; live telemetry (heartbeats + stacks "
-      "+ sampler)\nwithin 2%%; the scraped observability endpoint within 2%% "
-      "with every\nserve row identical=true.\n");
+      "should be\n>= 1 on every circuit; ledger recording overhead should stay "
+      "within 5%%;\nprovenance recording within 2%%; live telemetry "
+      "(heartbeats + stacks +\nsampler) within 2%%; the scraped "
+      "observability endpoint within 2%% with\nevery serve row "
+      "identical=true.\n");
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "cdfg/ir.h"
 #include "util/hash.h"
 #include "util/json.h"
 
@@ -150,8 +151,9 @@ Manifest parse_manifest(const std::string& text) {
       bad("\"widths\" must be a non-empty array");
     for (const Json& w : widths->arr) {
       const std::int64_t v = as_int(w, "\"widths\" entry");
-      if (v < 1 || v > 64) bad("width " + std::to_string(v) +
-                               " out of range [1, 64]");
+      if (v < 1 || v > cdfg::kMaxWordWidth)
+        bad("width " + std::to_string(v) + " out of range [1, " +
+            std::to_string(cdfg::kMaxWordWidth) + "]");
       m.widths.push_back(static_cast<int>(v));
     }
   } else {

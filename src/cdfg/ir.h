@@ -24,6 +24,10 @@ class CdfgError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Widest word a variable or an expanded datapath component may have:
+/// gate-level expansion takes a constant's bits from a 64-bit `long`.
+constexpr int kMaxWordWidth = 64;
+
 enum class VarKind {
   kPrimaryInput,  ///< external input, available from control step 0
   kConstant,      ///< compile-time constant, hardwired (needs no register)

@@ -1,5 +1,6 @@
 #include "cdfg/parser.h"
 
+#include <charconv>
 #include <map>
 #include <sstream>
 
@@ -25,6 +26,24 @@ const std::map<std::string, OpKind>& op_kind_names() {
 [[noreturn]] void fail(int line, const std::string& msg) {
   throw CdfgError("cdfg parse error, line " + std::to_string(line) + ": " +
                   msg);
+}
+
+/// The whole token as a decimal integer; anything else fails the line.
+long parse_int(int line, const std::string& tok, const std::string& what) {
+  long v = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ec != std::errc() || ptr != end)
+    fail(line, what + " is not an integer: " + tok);
+  return v;
+}
+
+int parse_width(int line, const std::string& tok) {
+  const long w = parse_int(line, tok, "width");
+  if (w < 1 || w > kMaxWordWidth)
+    fail(line, "width " + tok + " out of range [1, " +
+                   std::to_string(kMaxWordWidth) + "]");
+  return static_cast<int>(w);
 }
 
 }  // namespace
@@ -58,7 +77,7 @@ Cdfg parse_cdfg(const std::string& text) {
     } else if (cmd == "input" || cmd == "state") {
       if (tok.size() < 2 || tok.size() > 3)
         fail(line_no, cmd + " <name> [width]");
-      const int width = tok.size() == 3 ? std::stoi(tok[2]) : 16;
+      const int width = tok.size() == 3 ? parse_width(line_no, tok[2]) : 16;
       if (cmd == "input")
         g.add_input(tok[1], width);
       else
@@ -66,8 +85,8 @@ Cdfg parse_cdfg(const std::string& text) {
     } else if (cmd == "const") {
       if (tok.size() < 3 || tok.size() > 4)
         fail(line_no, "const <name> <value> [width]");
-      const int width = tok.size() == 4 ? std::stoi(tok[3]) : 16;
-      g.add_constant(tok[1], std::stol(tok[2]), width);
+      const int width = tok.size() == 4 ? parse_width(line_no, tok[3]) : 16;
+      g.add_constant(tok[1], parse_int(line_no, tok[2], "value"), width);
     } else if (cmd == "op") {
       if (tok.size() < 4) fail(line_no, "op <kind> <out> <in>...");
       const auto it = op_kind_names().find(tok[1]);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "cdfg/ir.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -388,20 +389,34 @@ ExpandedDesign expand_datapath(const rtl::Datapath& dp,
   ExpandedDesign out;
   Netlist& n = out.netlist;
 
+  auto width_of = [&](int w) {
+    return opts.width_override > 0 ? opts.width_override : w;
+  };
+  // Words are built bit by bit from 64-bit values (constants, decoded
+  // controller fields), so a wider word has no defined bits to take.
+  auto check_width = [&](int w, const std::string& what) {
+    if (w < 1 || w > cdfg::kMaxWordWidth)
+      throw std::invalid_argument(
+          "expand_datapath: " + what + " width " + std::to_string(w) +
+          " out of range [1, " + std::to_string(cdfg::kMaxWordWidth) + "]");
+  };
+  for (const auto& r : dp.regs) check_width(width_of(r.width), r.name);
+  for (const auto& f : dp.fus) check_width(width_of(f.width), f.name);
+  for (const auto& pi : dp.primary_inputs)
+    check_width(width_of(pi.width), pi.name);
+  for (const auto& c : dp.constants) check_width(width_of(c.width), c.name);
+
   {
     // Pre-size the node table (and the name map) from the datapath shape:
     // a register bit costs a DFF plus a scan/steering mux or two, an FU
     // bit a few dozen gates, plus the port muxes and the controller. A
     // rough over-estimate is fine — this is a capacity hint, not a limit.
-    const auto est_w = [&](int w) {
-      return opts.width_override > 0 ? opts.width_override : w;
-    };
     long est = 64;  // controller counter/decode and misc slack
-    for (const auto& r : dp.regs) est += 6L * est_w(r.width);
-    for (const auto& f : dp.fus) est += 40L * est_w(f.width);
+    for (const auto& r : dp.regs) est += 6L * width_of(r.width);
+    for (const auto& f : dp.fus) est += 40L * width_of(f.width);
     est += 2L * dp.mux2_count();
-    for (const auto& pi : dp.primary_inputs) est += est_w(pi.width);
-    for (const auto& c : dp.constants) est += est_w(c.width);
+    for (const auto& pi : dp.primary_inputs) est += width_of(pi.width);
+    for (const auto& c : dp.constants) est += width_of(c.width);
     n.reserve_nodes(static_cast<int>(std::min<long>(est, 1L << 24)));
   }
 
@@ -424,10 +439,6 @@ ExpandedDesign expand_datapath(const rtl::Datapath& dp,
     ProvScope scope(prov, n, comp(CompKind::kController, -1));
     ctl.build_counter(&out.controller_state);
   }
-
-  auto width_of = [&](int w) {
-    return opts.width_override > 0 ? opts.width_override : w;
-  };
 
   // Primary inputs and constants.
   out.pi_nodes.resize(dp.primary_inputs.size());

@@ -73,8 +73,10 @@ struct ExpandedDesign {
   bool sequential() const { return !netlist.flops().empty(); }
 };
 
-/// Expands the datapath per the options. Throws std::runtime_error if the
-/// controller's signal list does not match the datapath structure.
+/// Expands the datapath per the options. Throws std::invalid_argument if a
+/// component's resolved width (after width_override) falls outside
+/// [1, cdfg::kMaxWordWidth], and std::runtime_error if the controller's
+/// signal list does not match the datapath structure.
 ExpandedDesign expand_datapath(const rtl::Datapath& dp,
                                const ExpandOptions& opts = {});
 

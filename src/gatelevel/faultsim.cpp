@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
-#include "gatelevel/faultsim_wide.h"
-#include "gatelevel/widebits.h"
 #include "observe/scoap_attr.h"
 #include "util/metrics.h"
 #include "util/telemetry.h"
@@ -18,24 +17,20 @@ namespace tsyn::gl {
 
 namespace {
 
+/// Items claimed per work-stealing grab. Fault propagations are cheap
+/// (microseconds on small benches), so claiming one per atomic add is pure
+/// contention; a chunk this size amortizes it while the tail imbalance
+/// stays under a handful of propagations.
+constexpr int kStealChunk = 16;
+
 /// Sequential faults cost a whole frame sweep each; smaller chunks than
 /// the combinational engine's keep the tail short.
 constexpr int kSeqStealChunk = 4;
-
-/// Detection matrices this wide or wider run the 512-lane engine: one
-/// full good-machine pass per 8 blocks. Narrower ones would pay for
-/// padding lanes, so they stay on the 64-lane engine.
-constexpr std::size_t kWideMatrixBlocks = 8;
 
 void require_combinational(const Netlist& n) {
   if (!n.flops().empty())
     throw std::runtime_error(
         "combinational fault sim; expand state as PI/PO first");
-}
-
-/// The W=1 engine reads a std::vector<Bits> in place as its good rows.
-const std::uint64_t* bits_rows(const std::vector<Bits>& values) {
-  return reinterpret_cast<const std::uint64_t*>(values.data());
 }
 
 }  // namespace
@@ -44,6 +39,136 @@ int FaultSimOptions::resolved_threads() const {
   if (num_threads > 0) return num_threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+// ---------------------------------------------------------------------------
+// FaultPropagator — one fault's divergence from the good machine.
+// ---------------------------------------------------------------------------
+
+FaultPropagator::FaultPropagator(const Netlist& n) : g_(&SimGraph::of(n)) {
+  const std::size_t nn = static_cast<std::size_t>(g_->num_nodes());
+  faulty_.assign(nn, Bits::unknown());
+  stamp_.assign(nn, -1);
+  sched_stamp_.assign(nn, -1);
+  po_stamp_.assign(nn, -1);
+  lvl_stamp_.assign(g_->num_levels(), -1);
+  lvl_nodes_.resize(g_->num_levels());
+}
+
+std::uint64_t FaultPropagator::propagate(const Fault& f,
+                                         const std::vector<Bits>& good) {
+  assert(good.size() == static_cast<std::size_t>(g_->num_nodes()));
+  ++faults_;
+  const long before = events_;
+  const Bits stuck = f.stuck_at_one ? Bits::all1() : Bits::all0();
+  begin(good.data());
+  inject(f, stuck);
+  drain(f, stuck);
+  last_events_ = events_ - before;
+  return po_diff();
+}
+
+void FaultPropagator::begin(const Bits* good) {
+  good_ = good;
+  if (cur_ == std::numeric_limits<int>::max()) {
+    std::fill(stamp_.begin(), stamp_.end(), -1);
+    std::fill(sched_stamp_.begin(), sched_stamp_.end(), -1);
+    std::fill(po_stamp_.begin(), po_stamp_.end(), -1);
+    std::fill(lvl_stamp_.begin(), lvl_stamp_.end(), -1);
+    cur_ = 0;
+  }
+  ++cur_;
+  min_lvl_ = g_->num_levels();
+  max_lvl_ = -1;
+  touched_pos_.clear();
+}
+
+void FaultPropagator::schedule_fanouts(int id) {
+  // The fanout CSR carries combinational edges only, so no DFF is ever
+  // scheduled.
+  const std::int32_t* foff = g_->fanout_off();
+  const std::int32_t* fo = g_->fanout();
+  const std::int32_t* level_of = g_->level_of();
+  const std::int32_t end = foff[id + 1];
+  for (std::int32_t k = foff[id]; k < end; ++k) {
+    const int s = fo[k];
+    if (sched_stamp_[s] == cur_) continue;
+    sched_stamp_[s] = cur_;
+    // The sweep reaches `s` strictly later (deeper level); start pulling
+    // its good value in now so the eval doesn't stall on it.
+    __builtin_prefetch(&good_[s]);
+    const int lvl = level_of[s];
+    if (lvl_stamp_[lvl] != cur_) {
+      lvl_stamp_[lvl] = cur_;
+      lvl_nodes_[lvl].clear();
+      if (lvl < min_lvl_) min_lvl_ = lvl;
+      if (lvl > max_lvl_) max_lvl_ = lvl;
+    }
+    lvl_nodes_[lvl].push_back(s);
+  }
+}
+
+/// Makes `r` the faulty value of `id` — stamp, PO bookkeeping, fanouts —
+/// unless it equals the current one. Comparing before storing means
+/// unchanged events, the cone boundary and a large share of all events,
+/// never dirty a cache line.
+void FaultPropagator::update(int id, Bits r) {
+  const Bits& old = value(id);
+  if (r.v == old.v && r.x == old.x) return;
+  faulty_[id] = r;
+  stamp_[id] = cur_;
+  if ((g_->flags()[id] & SimGraph::kFlagPo) && po_stamp_[id] != cur_) {
+    po_stamp_[id] = cur_;
+    touched_pos_.push_back(id);
+  }
+  schedule_fanouts(id);
+}
+
+/// Re-evaluates node `id` with fanin pin `pin` (or -1: none) overridden to
+/// `stuck`.
+void FaultPropagator::eval_node(int id, int pin, Bits stuck) {
+  const std::int32_t* fin = g_->fanin();
+  const std::int32_t lo = g_->fanin_off()[id];
+  const int nf = g_->fanin_off()[id + 1] - lo;
+  for (int i = 0; i < nf; ++i)
+    fanin_vals_[i] = i == pin ? stuck : value(fin[lo + i]);
+  update(id, eval_gate(g_->type(id), fanin_vals_, nf));
+}
+
+/// Output faults force the node; input-pin faults re-evaluate the gate with
+/// the pin forced. Pin faults on DFFs are ignored: the D pin is a
+/// state-capture boundary, outside any combinational frame.
+void FaultPropagator::inject(const Fault& f, Bits stuck) {
+  if (f.fanin_index < 0) {
+    update(f.node, stuck);
+    return;
+  }
+  if (g_->type(f.node) == GateType::kDff) return;
+  eval_node(f.node, f.fanin_index, stuck);
+}
+
+void FaultPropagator::drain(const Fault& f, Bits stuck) {
+  // A level's worklist is complete once the sweep reaches it: scheduling
+  // only ever targets deeper levels, so one ascending pass over the
+  // touched levels suffices.
+  for (int lvl = min_lvl_; lvl <= max_lvl_; ++lvl) {
+    if (lvl_stamp_[lvl] != cur_) continue;
+    for (const int id : lvl_nodes_[lvl]) {
+      ++events_;
+      if (f.fanin_index < 0 && id == f.node) continue;  // pinned
+      eval_node(id, id == f.node ? f.fanin_index : -1, stuck);
+    }
+  }
+}
+
+std::uint64_t FaultPropagator::po_diff() const {
+  std::uint64_t mask = 0;
+  for (const int id : touched_pos_) {
+    const Bits& g = good_[id];
+    const Bits& b = faulty_[id];
+    mask |= (g.v ^ b.v) & ~g.x & ~b.x;
+  }
+  return mask;
 }
 
 // ---------------------------------------------------------------------------
@@ -77,8 +202,43 @@ void FaultSimulator::propagate_shard(const std::vector<Fault>& faults,
   const int workers = std::max(1, std::min(options_.resolved_threads(), count));
   while (static_cast<int>(propagators_.size()) < workers)
     propagators_.emplace_back(n_);
-  wide_detail::propagate_faults(propagators_, workers, bits_rows(good_),
-                                faults, skip, masks.data());
+  const bool ledger_on = observe::ledger_enabled();
+  auto job = [&](int i, int slot) {
+    if (skip && (*skip)[i]) return;
+    FaultPropagator& p = propagators_[slot];
+    masks[i] = p.propagate(faults[i], good_);
+    if (ledger_on)
+      observe::record_sim_effort(observe::make_fault_key(faults[i]),
+                                 p.last_propagate_events());
+  };
+  if (workers <= 1) {
+    for (int i = 0; i < count; ++i) job(i, 0);
+  } else {
+    util::ThreadPool::shared().run_chunked(count, workers, kStealChunk, job);
+  }
+
+  // Publish off the hot path — worker counters are stable once
+  // run_chunked() has returned. Imbalance is the largest slot's share over
+  // the ideal equal share (1.0 = perfectly balanced, `workers` = one slot
+  // did everything).
+  static util::Counter& m_events =
+      util::metrics().counter("faultsim.ppsfp.events");
+  static util::Counter& m_sims =
+      util::metrics().counter("faultsim.ppsfp.faults_simulated");
+  long events = 0, done = 0, biggest = 0;
+  for (FaultPropagator& p : propagators_) {
+    events += p.events_processed();
+    done += p.faults_propagated();
+    biggest = std::max(biggest, p.faults_propagated());
+    p.reset_work_counters();
+  }
+  m_events.add(events);
+  m_sims.add(done);
+  if (workers > 1 && done > 0)
+    util::metrics()
+        .gauge("faultsim.ppsfp.shard_imbalance")
+        .set(static_cast<double>(biggest) * workers /
+             static_cast<double>(done));
 }
 
 int FaultSimulator::run_block(const std::vector<Bits>& pi_values,
@@ -139,42 +299,8 @@ double fault_coverage(const Netlist& n,
 }
 
 // ---------------------------------------------------------------------------
-// Detection matrix: the 64-lane engine block by block, or the 512-lane
-// engine (faultsim_wide.h, instantiated per ISA in dedicated TUs) 8 blocks
-// per pass.
+// Detection matrix: no fault dropping, block by block.
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/// Runs the W=8 matrix on the widest runtime-detected backend whose kernel
-/// TU is in the build (TSYN_WIDE_AVX2 / TSYN_WIDE_AVX512, see
-/// CMakeLists.txt), demoted to scalar by TSYN_FORCE_SCALAR
-/// (active_simd_backend). The ISA-specific entry points live in TUs
-/// compiled with the matching -m flags; this TU stays portable, so the
-/// binary runs on any x86-64 and still uses AVX where the CPU has it.
-void run_wide_matrix(const Netlist& n,
-                     const std::vector<std::vector<Bits>>& blocks,
-                     const std::vector<Fault>& faults, int threads,
-                     std::uint64_t* matrix) {
-  const SimdBackend be = active_simd_backend();
-  (void)be;
-#if defined(TSYN_WIDE_AVX512)
-  if (be == SimdBackend::kAvx512) {
-    wide_detail::wide_matrix_avx512_w8(n, blocks, faults, threads, matrix);
-    return;
-  }
-#endif
-#if defined(TSYN_WIDE_AVX2)
-  if (be == SimdBackend::kAvx2 || be == SimdBackend::kAvx512) {
-    wide_detail::wide_matrix_avx2_w8(n, blocks, faults, threads, matrix);
-    return;
-  }
-#endif
-  wide_detail::wide_matrix<8, ScalarWords<8>>(n, blocks, faults, threads,
-                                              matrix);
-}
-
-}  // namespace
 
 void detection_masks(const Netlist& n,
                      const std::vector<std::vector<Bits>>& blocks,
@@ -188,11 +314,6 @@ void detection_masks(const Netlist& n,
   if (count == 0 || nb == 0) return;
   require_combinational(n);
   util::progress("sim.patterns").add_total(64 * static_cast<std::int64_t>(nb));
-  if (nb >= kWideMatrixBlocks) {
-    run_wide_matrix(n, blocks, faults, options.resolved_threads(),
-                    masks.data());
-    return;
-  }
   FaultSimulator sim(n, options);
   std::vector<std::uint64_t> row;
   for (std::size_t b = 0; b < nb; ++b) {

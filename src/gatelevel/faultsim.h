@@ -3,17 +3,15 @@
 // Parallel-pattern single-fault propagation with fault dropping for
 // combinational circuits — the workhorse behind every fault-coverage
 // number in the benches (full-scan coverage, BIST coverage, test-point
-// evaluation). One engine per job shape, all on the compiled SoA form
-// (simgraph.h): levelized order, flat fanin/fanout arenas, per-level
-// event worklists.
+// evaluation). One kernel per circuit kind, both on the compiled SoA form
+// (simgraph.h) and both evaluating gates with eval_gate (netlist.h), the
+// only copy of the three-valued gate formulas:
 //
-//  - Fault-dropping grading (fault_coverage, FaultSimulator) runs the
-//    64-lane (W=1) instance of the propagation template in
-//    faultsim_wide.h, one block per good-machine pass.
-//  - A no-drop detection matrix (detection_masks) runs the same W=1 engine
-//    below 8 blocks and the 512-lane (W=8) instance, SIMD-dispatched
-//    (widebits.h), from 8 blocks up. The width follows the job; no option
-//    chooses it, and both widths give bit-identical masks.
+//  - Combinational circuits run FaultPropagator: 64 patterns per
+//    good-machine pass, each fault propagated event by event through
+//    per-level worklists. Fault-dropping grading (fault_coverage,
+//    FaultSimulator::run_block) and the no-drop detection matrix
+//    (detection_masks, block by block on run_block_detail) share it.
 //  - Sequential circuits (sequential_fault_sim) get a dense per-fault
 //    frame re-simulation on the SimGraph arrays that drops each fault at
 //    its first detecting frame.
@@ -28,7 +26,6 @@
 #include <vector>
 
 #include "gatelevel/faults.h"
-#include "gatelevel/faultsim_wide.h"
 #include "gatelevel/netlist.h"
 #include "gatelevel/simgraph.h"
 
@@ -42,32 +39,69 @@ struct FaultSimOptions {
   /// also avoids touching the pool entirely).
   int num_threads = 0;
 
-  /// PODEM wave width for ATPG campaigns: the campaign takes this many
-  /// still-undetected faults at a time, generates their tests concurrently
-  /// over `num_threads` workers (each worker's AtpgStats are summed into
-  /// the campaign totals — never last-writer-wins), then grades the wave's
-  /// tests serially so fault dropping stays deterministic for a fixed wave
-  /// width. 1 = fault-by-fault serial generation, bit-identical to the
-  /// pre-parallel engine (the default, so results never silently vary with
-  /// the host's core count); 0 = one wave per resolved_threads().
-  int atpg_wave = 1;
-
   /// num_threads with 0 resolved to the hardware parallelism (>= 1).
   int resolved_threads() const;
-
-  /// atpg_wave with 0 resolved to the worker count.
-  int resolved_atpg_wave() const {
-    return atpg_wave > 0 ? atpg_wave : resolved_threads();
-  }
 };
 
-/// Per-thread fault-propagation scratch: the W=1 instance of the one
-/// propagation engine (faultsim_wide.h). propagate(f, good) runs one fault
-/// against node-indexed good values and returns the 64-bit lane mask of
-/// primary outputs where the faulty machine provably differs; the work
-/// counters (events_processed, faults_propagated, last_propagate_events,
-/// reset_work_counters) feed the metrics registry and the ledger.
-using FaultPropagator = wide_detail::WideProp<1, ScalarWords<1>>;
+/// Per-thread fault-propagation scratch: the combinational fault kernel,
+/// one instance per worker slot. Faulty values are copy-on-write against
+/// the caller's good values: a node reads as good until touched in the
+/// current epoch, so starting the next fault is O(1). A node whose value
+/// changes schedules its fanouts into per-level worklists, and the sweep
+/// walks the touched levels in ascending order; each scheduled node is
+/// re-evaluated with eval_gate and stored only when its value differs.
+class FaultPropagator {
+ public:
+  /// Runs on the netlist's cached SimGraph (built here if needed — on the
+  /// calling thread, before any worker reads it).
+  explicit FaultPropagator(const Netlist& n);
+
+  /// One fault against node-indexed good values (sized num_nodes): returns
+  /// the 64-bit lane mask of primary outputs where the faulty machine
+  /// provably differs (both known, values differ).
+  std::uint64_t propagate(const Fault& f, const std::vector<Bits>& good);
+
+  /// Work counters for the metrics registry: gate evaluations (scheduled
+  /// nodes) and faults propagated since construction or the last
+  /// reset_work_counters(), plus the evaluations the most recent
+  /// propagate() cost (per-fault ledger attribution). Owned by the
+  /// propagator's worker — read them only between parallel sections.
+  long events_processed() const { return events_; }
+  long faults_propagated() const { return faults_; }
+  long last_propagate_events() const { return last_events_; }
+  void reset_work_counters() {
+    events_ = 0;
+    faults_ = 0;
+    last_events_ = 0;
+  }
+
+ private:
+  /// Current faulty-machine value of `id`: its copy-on-write value when
+  /// touched this epoch, the shared good value otherwise.
+  const Bits& value(int id) const {
+    return stamp_[id] == cur_ ? faulty_[id] : good_[id];
+  }
+  void begin(const Bits* good);
+  // Per-event hot path: inline, defined in faultsim.cpp (its only user).
+  inline void schedule_fanouts(int id);
+  inline void update(int id, Bits r);
+  inline void eval_node(int id, int pin, Bits stuck);
+  void inject(const Fault& f, Bits stuck);
+  void drain(const Fault& f, Bits stuck);
+  std::uint64_t po_diff() const;
+
+  const SimGraph* g_;
+  const Bits* good_ = nullptr;
+  std::vector<Bits> faulty_;  ///< copy-on-write values, live where stamped
+  std::vector<int> stamp_, sched_stamp_, po_stamp_;
+  int cur_ = 0;
+  std::vector<int> lvl_stamp_;
+  std::vector<std::vector<int>> lvl_nodes_;  ///< scheduled ids per level
+  int min_lvl_ = 0, max_lvl_ = -1;
+  std::vector<int> touched_pos_;  ///< POs touched this epoch (deduplicated)
+  Bits fanin_vals_[kMaxFanin];    ///< eval_node's gather buffer
+  long events_ = 0, faults_ = 0, last_events_ = 0;
+};
 
 /// Parallel-pattern combinational fault simulator. The netlist must be
 /// combinational (no DFFs) — expand scan/BIST registers as PI/PO first.
@@ -102,7 +136,8 @@ class FaultSimulator {
   void simulate_good(const std::vector<Bits>& pi_values);
   /// Spreads `faults` over the worker pool (chunked work-stealing);
   /// masks[i] receives the detecting lane mask (0 for faults where
-  /// skip[i] is true).
+  /// skip[i] is true; all faults run when `skip` is null). Publishes the
+  /// propagators' work counters to the metrics registry afterwards.
   void propagate_shard(const std::vector<Fault>& faults,
                        const std::vector<bool>* skip,
                        std::vector<std::uint64_t>& masks);
@@ -131,12 +166,9 @@ double fault_coverage(const Netlist& n,
 /// Full detection matrix, no fault dropping: grades every fault against
 /// every block and fills `masks[f * blocks.size() + b]` with the 64-bit
 /// lane mask of block b detecting fault f. This is the workload shape of
-/// N-detect grading and compaction's reverse-order pruning. Below 8
-/// blocks it runs the 64-lane engine block by block; from 8 blocks up the
-/// 512-lane engine grades 8 blocks per good-machine pass and per fault
-/// propagation (the last pass padded with inert all-X blocks). The masks
-/// are bit-identical either way; only the per-fault simulation effort the
-/// ledger records differs.
+/// N-detect grading and compaction's reverse-order pruning. Grades block
+/// by block on FaultSimulator::run_block_detail, one good-machine pass and
+/// one propagation per fault per block.
 void detection_masks(const Netlist& n,
                      const std::vector<std::vector<Bits>>& blocks,
                      const std::vector<Fault>& faults,

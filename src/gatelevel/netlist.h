@@ -132,11 +132,10 @@ class Netlist {
   mutable std::shared_ptr<const void> lowered_;
 };
 
-/// Evaluates one combinational gate from fanin values. Header-inline so
-/// the simulation hot loops (simulate_frame, sequential_fault_sim) fold
-/// the whole evaluation into one switch instead of an out-of-line call;
-/// the fault engine's kernels in widebits.h are these same formulas
-/// lifted to W words and must stay bit-identical at W=1.
+/// Evaluates one combinational gate from fanin values: the only copy of
+/// the three-valued gate formulas. Header-inline so the simulation hot
+/// loops (simulate_frame, FaultPropagator, sequential_fault_sim) fold the
+/// whole evaluation into one switch instead of an out-of-line call.
 inline Bits eval_gate(GateType type, const Bits* in, int num_fanins) {
   auto and2 = [](Bits a, Bits b) {
     Bits r;

@@ -18,8 +18,9 @@
 //
 // Lowering is cached on the Netlist (SimGraph::of) and invalidated by
 // structural edits, so callers holding a mutable Netlist keep their
-// existing entry points: simulate_frame, FaultPropagator, and the PPSFP
-// and sequential engines all lower-and-cache internally. Contract: the
+// Netlist entry points: simulate_frame, FaultPropagator (behind PPSFP and
+// the detection matrix) and the dense sequential engine all lower and
+// cache internally, then evaluate gates with eval_gate. Contract: the
 // cache is built on the calling thread — entry points that shard work
 // call SimGraph::of (or construct their propagators) before fanning out,
 // exactly like the Netlist's own lazy topo/fanout caches.

@@ -178,6 +178,32 @@ TEST(Parser, Errors) {
   EXPECT_THROW(parse_cdfg("state s"), CdfgError);  // no update
 }
 
+// Numeric fields are checked where they are read: a bad width or value
+// names its line, and widths stay inside what gate expansion can build.
+TEST(Parser, NumericFieldsFailWithTheirLine) {
+  const auto message = [](const std::string& text) -> std::string {
+    try {
+      parse_cdfg(text);
+    } catch (const CdfgError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  for (const std::string bad : {"0", "65", "x", "-3", "8x"}) {
+    const std::string m = message("cdfg t\ninput a " + bad);
+    EXPECT_NE(m.find("line 2"), std::string::npos) << bad << ": " << m;
+  }
+  EXPECT_NE(message("input a 0").find("out of range [1, 64]"),
+            std::string::npos);
+  EXPECT_NE(message("input a x").find("width is not an integer"),
+            std::string::npos);
+  EXPECT_NE(message("\n\nstate s 65").find("line 3"), std::string::npos);
+  EXPECT_NE(message("const k 3 100000").find("line 1"), std::string::npos);
+  EXPECT_NE(message("input a\nconst k three").find("line 2: value"),
+            std::string::npos);
+  EXPECT_EQ(parse_cdfg("input a 64\nconst k -5 1").var(0).width, 64);
+}
+
 TEST(Parser, CommentsAndBlanks) {
   const Cdfg g = parse_cdfg(
       "# a comment\n"

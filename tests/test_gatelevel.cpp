@@ -126,6 +126,25 @@ TEST(Words, Shifts) {
             12);
 }
 
+// A width the 64-bit word builders cannot represent is rejected up front,
+// not expanded with out-of-range shifts.
+TEST(Expand, RejectsWidthsOutsideWordRange) {
+  cdfg::Cdfg g("adder");
+  const cdfg::VarId y = g.add_op(
+      cdfg::OpKind::kAdd, "y", {g.add_input("a"), g.add_constant("k", -1)});
+  g.mark_output(y);
+  const hls::Synthesis syn = hls::synthesize(g);
+  ExpandOptions opts;
+  opts.width_override = 65;
+  EXPECT_THROW(expand_datapath(syn.rtl.datapath, opts), std::invalid_argument);
+  opts.width_override = 64;
+  EXPECT_NO_THROW(expand_datapath(syn.rtl.datapath, opts));
+  rtl::Datapath dp = syn.rtl.datapath;
+  ASSERT_FALSE(dp.regs.empty());
+  dp.regs[0].width = 0;
+  EXPECT_THROW(expand_datapath(dp, ExpandOptions{}), std::invalid_argument);
+}
+
 TEST(Netlist, XPropagationThroughAnd) {
   Netlist n;
   const int a = n.add_input("a");

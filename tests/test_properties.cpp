@@ -177,22 +177,51 @@ gl::Netlist random_netlist(std::uint64_t seed, int gates = 60) {
 }
 
 TEST_P(GateSweep, FaultSimAgreesWithSequentialSim) {
-  // The event-driven combinational fault simulator and the brute-force
-  // full-resimulation must agree on every fault.
+  // The event-driven combinational fault simulator, the dense sequential
+  // engine and the brute-force full re-simulation must agree on every
+  // fault, pin faults included: once on a fully specified block, once on a
+  // block whose inputs are unknown in about a quarter of the lanes, so the
+  // propagator's compare-before-store sees {v, x} changes too. The
+  // reference runs lane by lane (every other lane unknown, so only that
+  // lane can detect), which checks each detecting lane, not just the
+  // per-fault verdict.
   const gl::Netlist n = random_netlist(GetParam());
-  const auto faults = gl::enumerate_faults(n);
+  const auto faults = gl::enumerate_faults(n, /*collapse=*/false);
   const auto blocks = gl::lfsr_pattern_blocks(
-      static_cast<int>(n.primary_inputs().size()), 1, GetParam());
+      static_cast<int>(n.primary_inputs().size()), 2, GetParam());
+  std::vector<gl::Bits> with_x = blocks[1];
+  util::Rng rng(GetParam());
+  for (gl::Bits& b : with_x) {
+    b.x = rng.next_u64() & rng.next_u64();
+    b.v &= ~b.x;
+  }
 
   gl::FaultSimulator sim(n);
-  std::vector<bool> fast(faults.size(), false);
-  sim.run_block(blocks[0], faults, fast);
-
-  std::vector<std::vector<gl::Bits>> frames;
-  frames.push_back(blocks[0]);
-  const std::vector<bool> slow = gl::sequential_fault_sim(n, frames, faults);
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    EXPECT_EQ(fast[i], slow[i]) << gl::describe(n, faults[i]);
+  for (const std::vector<gl::Bits>& block : {blocks[0], with_x}) {
+    std::vector<std::uint64_t> masks;
+    sim.run_block_detail(block, faults, masks);
+    std::vector<bool> fast(faults.size(), false);
+    sim.run_block(block, faults, fast);
+    const std::vector<bool> dense =
+        gl::sequential_fault_sim(n, {block}, faults);
+    std::vector<std::uint64_t> ref(faults.size(), 0);
+    for (int lane = 0; lane < 64; ++lane) {
+      std::vector<gl::Bits> one = block;
+      for (gl::Bits& b : one) {
+        b.x |= ~(1ULL << lane);
+        b.v &= ~b.x;
+      }
+      const std::vector<bool> det =
+          gl::sequential_fault_sim_full_resim(n, {one}, faults);
+      for (std::size_t i = 0; i < faults.size(); ++i)
+        if (det[i]) ref[i] |= 1ULL << lane;
+    }
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      EXPECT_EQ(masks[i], ref[i]) << gl::describe(n, faults[i]);
+      EXPECT_EQ(fast[i], ref[i] != 0) << gl::describe(n, faults[i]);
+      EXPECT_EQ(dense[i], ref[i] != 0) << gl::describe(n, faults[i]);
+    }
+  }
 }
 
 TEST_P(GateSweep, PodemTestsVerifiedByFaultSim) {

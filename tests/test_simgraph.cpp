@@ -1,14 +1,13 @@
 // The compiled SoA simulation core: SimGraph lowering must mirror the
 // Netlist exactly, the levelized engines must match a direct reference
-// evaluation bit for bit, the detection matrix (64-lane below 8 blocks,
-// 512-lane from 8 up) must agree with fault-dropping grading — detected
-// set AND first-detecting pattern — and the work-stealing shard must be
-// invisible in every result, ledger JSON included.
+// evaluation bit for bit, the detection matrix must agree with
+// fault-dropping grading — detected set AND first-detecting pattern — and
+// the work-stealing shard must be invisible in every result, ledger JSON
+// included.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <map>
 #include <stdexcept>
 #include <set>
@@ -20,7 +19,6 @@
 #include "gatelevel/faultsim.h"
 #include "gatelevel/netlist.h"
 #include "gatelevel/simgraph.h"
-#include "gatelevel/widebits.h"
 #include "observe/ledger.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -180,15 +178,14 @@ TEST(SimGraph, CacheRebuildsAfterStructuralEdit) {
   }
 }
 
-// Every detected set the engines report must agree: the matrix (64-lane
-// engine below 8 blocks, 512-lane engine from 8 up, including block
-// counts that leave a padded super-block) flags exactly the faults the
-// fault-dropping grade detects.
+// Every detected set the engines report must agree: the matrix flags
+// exactly the faults the fault-dropping grade detects, at block counts
+// below, at and above eight.
 TEST(SimGraph, MatrixDetectedSetMatchesDropGrading) {
   for (std::uint64_t seed : {41ULL, 42ULL}) {
     const gl::Netlist n = random_netlist(seed, 160, 10);
     const auto faults = gl::enumerate_faults(n);
-    for (int nblocks : {1, 3, 8, 9}) {  // 9: one full and one padded pass
+    for (int nblocks : {1, 3, 8, 9}) {
       const auto blocks = gl::lfsr_pattern_blocks(
           static_cast<int>(n.primary_inputs().size()), nblocks, seed);
       gl::FaultSimOptions serial;
@@ -213,7 +210,7 @@ TEST(SimGraph, MatrixDetectedSetMatchesDropGrading) {
 }
 
 // The ledger's first-detecting pattern from the fault-dropping grade is
-// the first set bit of the fault's matrix row, on both matrix widths.
+// the first set bit of the fault's matrix row.
 TEST(SimGraph, MatrixFirstSetBitMatchesLedgerFirstDetect) {
   const gl::Netlist n = random_netlist(43, 160, 10);
   const auto faults = gl::enumerate_faults(n);
@@ -251,9 +248,8 @@ TEST(SimGraph, MatrixFirstSetBitMatchesLedgerFirstDetect) {
   }
 }
 
-// A 9-block matrix runs one full 512-lane pass plus one padded with eight
-// inert all-X blocks; it must equal nine independent single-block
-// (64-lane) matrices column by column.
+// A 9-block matrix must equal nine independent single-block matrices
+// column by column: grading a block never depends on the blocks around it.
 TEST(SimGraph, NineBlockMatrixMatchesSingleBlockCalls) {
   const gl::Netlist n = random_netlist(44, 140, 9);
   const auto faults = gl::enumerate_faults(n);
@@ -261,45 +257,22 @@ TEST(SimGraph, NineBlockMatrixMatchesSingleBlockCalls) {
       static_cast<int>(n.primary_inputs().size()), 9, 44);
   gl::FaultSimOptions o;
   o.num_threads = 1;
-  std::vector<std::uint64_t> wide;
-  gl::detection_masks(n, blocks, faults, wide, o);
-  ASSERT_EQ(wide.size(), faults.size() * blocks.size());
+  std::vector<std::uint64_t> nine;
+  gl::detection_masks(n, blocks, faults, nine, o);
+  ASSERT_EQ(nine.size(), faults.size() * blocks.size());
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     std::vector<std::uint64_t> one;
     gl::detection_masks(n, {blocks[b]}, faults, one, o);
     ASSERT_EQ(one.size(), faults.size());
     for (std::size_t f = 0; f < faults.size(); ++f)
-      EXPECT_EQ(wide[f * blocks.size() + b], one[f])
+      EXPECT_EQ(nine[f * blocks.size() + b], one[f])
           << "block " << b << " fault " << f;
   }
 }
 
-// TSYN_FORCE_SCALAR must not change any result — on SIMD builds this is
-// the scalar-vs-vector differential (8 blocks: the 512-lane engine, the
-// only SIMD-dispatched path); on scalar builds it proves the override
-// path is at least wired through.
-TEST(SimGraph, ForcedScalarBackendIsBitIdentical) {
-  const gl::Netlist n = random_netlist(45, 150, 10);
-  const auto faults = gl::enumerate_faults(n);
-  const auto blocks = gl::lfsr_pattern_blocks(
-      static_cast<int>(n.primary_inputs().size()), 8, 45);
-  gl::FaultSimOptions o;
-  o.num_threads = 1;
-  std::vector<std::uint64_t> native;
-  gl::detection_masks(n, blocks, faults, native, o);
-
-  ::setenv("TSYN_FORCE_SCALAR", "1", 1);
-  EXPECT_EQ(gl::active_simd_backend(), gl::SimdBackend::kScalar);
-  std::vector<std::uint64_t> scalar;
-  gl::detection_masks(n, blocks, faults, scalar, o);
-  ::unsetenv("TSYN_FORCE_SCALAR");
-
-  EXPECT_EQ(scalar, native);
-}
-
 // The work-stealing shard must be invisible: detected set and ledger JSON
-// of the fault-dropping grade, and masks and ledger JSON of the 512-lane
-// matrix, byte-identical at every thread count.
+// of the fault-dropping grade, and masks and ledger JSON of the matrix,
+// byte-identical at every thread count.
 TEST(SimGraph, ThreadCountInvarianceIncludingLedger) {
   const gl::Netlist n = random_netlist(46, 160, 10);
   const auto faults = gl::enumerate_faults(n);

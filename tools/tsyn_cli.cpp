@@ -70,7 +70,7 @@
 // atpg/report options:
 //   --compact MODE         off|static|dynamic (default off; report: static)
 //   --xfill MODE           random|0|1|adjacent (default random)
-//   --width N              gate-level expansion bit width (default 4)
+//   --width N              gate-level expansion bit width, 1-64 (default 4)
 // report options:
 //   --out FILE             report JSON path (default report.json, - stdout)
 //   --html FILE            also render the self-contained HTML page
@@ -347,7 +347,14 @@ Args parse_args(int argc, char** argv) {
     else if (opt == "--metrics") a.metrics = value();
     else if (opt == "--compact") a.compact = value();
     else if (opt == "--xfill") a.xfill = value();
-    else if (opt == "--width") a.width = static_cast<int>(int_arg(opt, value()));
+    else if (opt == "--width") {
+      const long w = int_arg(opt, value());
+      if (w < 1 || w > cdfg::kMaxWordWidth)
+        usage(("--width must be in [1, " +
+               std::to_string(cdfg::kMaxWordWidth) + "]")
+                  .c_str());
+      a.width = static_cast<int>(w);
+    }
     else if (opt == "--out") a.out = value();
     else if (opt == "--html") a.html = value();
     else if (opt == "--dot-rtl") a.dot_rtl = value();
@@ -657,7 +664,6 @@ int cmd_atpg(const Args& a) {
     usage("--compact expects off|static|dynamic");
   if (!compaction::parse_xfill(a.xfill, &copts.xfill))
     usage("--xfill expects random|0|1|adjacent");
-  if (a.width < 1) usage("--width must be >= 1");
 
   // Full-scan flow: synthesize, scan every register, expand to a
   // combinational netlist, then generate + compact the test set.
@@ -739,7 +745,6 @@ compaction::CompactionOptions parse_compaction(const Args& a) {
     usage("--compact expects off|static|dynamic");
   if (!compaction::parse_xfill(a.xfill, &copts.xfill))
     usage("--xfill expects random|0|1|adjacent");
-  if (a.width < 1) usage("--width must be >= 1");
   return copts;
 }
 
