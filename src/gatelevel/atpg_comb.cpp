@@ -1,9 +1,7 @@
 #include "gatelevel/atpg_comb.h"
 
 #include <algorithm>
-#include <cassert>
 #include <climits>
-#include <deque>
 #include <stdexcept>
 
 #include "gatelevel/faultsim.h"
@@ -18,54 +16,38 @@ namespace tsyn::gl {
 
 namespace {
 
-V and_v(V a, V b) {
-  if (a == V::k0 || b == V::k0) return V::k0;
-  if (a == V::k1 && b == V::k1) return V::k1;
-  return V::kX;
-}
-V or_v(V a, V b) {
-  if (a == V::k1 || b == V::k1) return V::k1;
-  if (a == V::k0 && b == V::k0) return V::k0;
-  return V::kX;
-}
-V xor_v(V a, V b) {
-  if (a == V::kX || b == V::kX) return V::kX;
-  return a == b ? V::k0 : V::k1;
+// Two-lane values: lane 0 (bit 0) is the good machine, lane 1 (bit 1) the
+// faulty machine. Only these lanes are meaningful; eval_gate works lane by
+// lane, so whatever the upper lanes hold never reaches them.
+constexpr std::uint64_t kGood = 1;
+constexpr std::uint64_t kFaulty = 2;
+constexpr std::uint64_t kLanes = kGood | kFaulty;
+
+/// Both machines at `v`.
+Bits both(V v) {
+  switch (v) {
+    case V::k0: return Bits::known(0);
+    case V::k1: return Bits::known(kLanes);
+    case V::kX: break;
+  }
+  return {0, kLanes};
 }
 
-V eval_plane(GateType type, const V* in, int num) {
-  switch (type) {
-    case GateType::kConst0: return V::k0;
-    case GateType::kConst1: return V::k1;
-    case GateType::kBuf: return in[0];
-    case GateType::kNot: return !in[0];
-    case GateType::kAnd:
-    case GateType::kNand: {
-      V r = in[0];
-      for (int i = 1; i < num; ++i) r = and_v(r, in[i]);
-      return type == GateType::kNand ? !r : r;
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      V r = in[0];
-      for (int i = 1; i < num; ++i) r = or_v(r, in[i]);
-      return type == GateType::kNor ? !r : r;
-    }
-    case GateType::kXor: return xor_v(in[0], in[1]);
-    case GateType::kXnor: return !xor_v(in[0], in[1]);
-    case GateType::kMux: {
-      const V sel = in[0];
-      if (sel == V::k0) return in[1];
-      if (sel == V::k1) return in[2];
-      if (in[1] != V::kX && in[1] == in[2]) return in[1];
-      return V::kX;
-    }
-    case GateType::kInput:
-    case GateType::kDff:
-      break;
-  }
-  assert(false);
-  return V::kX;
+/// `b` with its faulty lane forced to the stuck value.
+Bits force_faulty(Bits b, bool stuck_at_one) {
+  b.x &= ~kFaulty;
+  b.v = stuck_at_one ? b.v | kFaulty : b.v & ~kFaulty;
+  return b;
+}
+
+/// Both lanes known.
+bool known(Bits b) { return (b.x & kLanes) == 0; }
+
+/// Both lanes known and different: a fault effect.
+bool effect(Bits b) { return known(b) && ((b.v ^ (b.v >> 1)) & kGood); }
+
+bool same_lanes(Bits a, Bits b) {
+  return (((a.v ^ b.v) | (a.x ^ b.x)) & kLanes) == 0;
 }
 
 /// Controlling value of a gate's inputs (X if none, e.g. XOR).
@@ -89,15 +71,23 @@ bool inverts(GateType t) {
 
 }  // namespace
 
-Podem::Podem(const Netlist& n) : n_(n) {
+Podem::Podem(const Netlist& n) : n_(n), g_(SimGraph::of(n)) {
   if (!n.flops().empty())
     throw std::runtime_error("PODEM is combinational; unroll first");
-  vals_.resize(n.num_nodes());
-  pi_assignment_.assign(n.num_nodes(), V::kX);
-  frozen_.assign(n.num_nodes(), 0);
-  pi_position_.assign(n.num_nodes(), -1);
-  for (std::size_t i = 0; i < n.primary_inputs().size(); ++i)
-    pi_position_[n.primary_inputs()[i]] = static_cast<int>(i);
+  const int nn = n.num_nodes();
+  vals_.assign(nn, both(V::kX));
+  pi_assignment_.assign(nn, V::kX);
+  frozen_.assign(nn, 0);
+  topo_pos_.assign(nn, 0);
+  for (std::size_t i = 0; i < n.topo_order().size(); ++i)
+    topo_pos_[n.topo_order()[i]] = static_cast<int>(i);
+  site_stamp_.assign(nn, 0);
+  sched_stamp_.assign(nn, 0);
+  lvl_stamp_.assign(g_.num_levels(), 0);
+  lvl_nodes_.resize(g_.num_levels());
+  mark_.assign(nn, 0);
+  queue_.reserve(nn);
+  cone_.reserve(nn);
   rebuild_assignable_cones();
 }
 
@@ -133,86 +123,167 @@ void Podem::rebuild_assignable_cones() {
   }
 }
 
-void Podem::imply(const std::vector<Fault>& sites) {
-  ++stats_.implications;
-  V fanin_good[kMaxFanin];
-  V fanin_faulty[kMaxFanin];
-  for (int id : n_.topo_order()) {
-    const Node& node = n_.node(id);
-    if (node.type == GateType::kInput) {
-      vals_[id].good = pi_assignment_[id];
-      vals_[id].faulty = pi_assignment_[id];
-    } else {
-      for (std::size_t i = 0; i < node.fanins.size(); ++i) {
-        fanin_good[i] = vals_[node.fanins[i]].good;
-        fanin_faulty[i] = vals_[node.fanins[i]].faulty;
-      }
-      // Pin-fault overrides on the faulty plane.
+int Podem::next_mark() {
+  if (mark_epoch_ == INT_MAX) {
+    std::fill(mark_.begin(), mark_.end(), 0);
+    mark_epoch_ = 0;
+  }
+  return ++mark_epoch_;
+}
+
+V Podem::good(int id) const {
+  const Bits b = vals_[id];
+  if (b.x & kGood) return V::kX;
+  return b.v & kGood ? V::k1 : V::k0;
+}
+
+Bits Podem::eval(int id, const std::vector<Fault>& sites) const {
+  const GateType type = g_.type(id);
+  const bool site = site_stamp_[id] == target_;
+  Bits r;
+  if (type == GateType::kInput) {
+    r = both(pi_assignment_[id]);
+  } else {
+    Bits in[kMaxFanin];
+    const std::int32_t* fin = g_.fanin() + g_.fanin_off()[id];
+    const int num = g_.num_fanins(id);
+    for (int i = 0; i < num; ++i) in[i] = vals_[fin[i]];
+    // Pin-fault overrides on the faulty plane.
+    if (site)
       for (const Fault& f : sites)
         if (f.fanin_index >= 0 && f.node == id)
-          fanin_faulty[f.fanin_index] = f.stuck_at_one ? V::k1 : V::k0;
-      vals_[id].good = eval_plane(node.type, fanin_good,
-                                  static_cast<int>(node.fanins.size()));
-      vals_[id].faulty = eval_plane(node.type, fanin_faulty,
-                                    static_cast<int>(node.fanins.size()));
-    }
-    // Output-fault overrides.
+          in[f.fanin_index] = force_faulty(in[f.fanin_index], f.stuck_at_one);
+    r = eval_gate(type, in, num);
+  }
+  // Output-fault overrides.
+  if (site)
     for (const Fault& f : sites)
       if (f.fanin_index < 0 && f.node == id)
-        vals_[id].faulty = f.stuck_at_one ? V::k1 : V::k0;
+        r = force_faulty(r, f.stuck_at_one);
+  return r;
+}
+
+void Podem::begin_target(const std::vector<Fault>& sites) {
+  if (target_ == INT_MAX) {
+    std::fill(site_stamp_.begin(), site_stamp_.end(), 0);
+    target_ = 0;
+  }
+  ++target_;
+  for (const Fault& f : sites) site_stamp_[f.node] = target_;
+
+  // The fault cone: transitive fanout of the sites, in topo_order() order
+  // so the D-frontier scan meets gates in the same order as a scan of the
+  // whole netlist would.
+  const int mark = next_mark();
+  cone_.clear();
+  for (const Fault& f : sites)
+    if (mark_[f.node] != mark) {
+      mark_[f.node] = mark;
+      cone_.push_back(f.node);
+    }
+  const std::int32_t* foff = g_.fanout_off();
+  const std::int32_t* fo = g_.fanout();
+  for (std::size_t i = 0; i < cone_.size(); ++i)
+    for (std::int32_t k = foff[cone_[i]]; k < foff[cone_[i] + 1]; ++k)
+      if (mark_[fo[k]] != mark) {
+        mark_[fo[k]] = mark;
+        cone_.push_back(fo[k]);
+      }
+  std::sort(cone_.begin(), cone_.end(),
+            [&](int a, int b) { return topo_pos_[a] < topo_pos_[b]; });
+  cone_pos_.clear();
+  for (int id : cone_)
+    if (g_.flags()[id] & SimGraph::kFlagPo) cone_pos_.push_back(id);
+
+  // The one full implication pass of this target; every later imply()
+  // only follows what a PI change disturbs.
+  ++stats_.implications;
+  for (int id : g_.order()) vals_[id] = eval(id, sites);
+  pending_.clear();
+}
+
+void Podem::assign(int pi, V value) {
+  pi_assignment_[pi] = value;
+  pending_.push_back(pi);
+}
+
+void Podem::imply(const std::vector<Fault>& sites) {
+  ++stats_.implications;
+  if (epoch_ == INT_MAX) {
+    std::fill(sched_stamp_.begin(), sched_stamp_.end(), 0);
+    std::fill(lvl_stamp_.begin(), lvl_stamp_.end(), 0);
+    epoch_ = 0;
+  }
+  ++epoch_;
+  int min_lvl = g_.num_levels();
+  int max_lvl = -1;
+  const std::int32_t* foff = g_.fanout_off();
+  const std::int32_t* fo = g_.fanout();
+  const std::int32_t* level_of = g_.level_of();
+  // Stores a changed value and schedules the node's fanouts, which all sit
+  // on deeper levels than the one being swept.
+  auto update = [&](int id) {
+    const Bits r = eval(id, sites);
+    if (same_lanes(r, vals_[id])) return;
+    vals_[id] = r;
+    for (std::int32_t k = foff[id]; k < foff[id + 1]; ++k) {
+      const int s = fo[k];
+      if (sched_stamp_[s] == epoch_) continue;
+      sched_stamp_[s] = epoch_;
+      const int lvl = level_of[s];
+      if (lvl_stamp_[lvl] != epoch_) {
+        lvl_stamp_[lvl] = epoch_;
+        lvl_nodes_[lvl].clear();
+        min_lvl = std::min(min_lvl, lvl);
+        max_lvl = std::max(max_lvl, lvl);
+      }
+      lvl_nodes_[lvl].push_back(s);
+    }
+  };
+  for (int pi : pending_) update(pi);
+  pending_.clear();
+  for (int lvl = min_lvl; lvl <= max_lvl; ++lvl) {
+    if (lvl_stamp_[lvl] != epoch_) continue;
+    for (int id : lvl_nodes_[lvl]) update(id);
   }
 }
 
 bool Podem::detected_at_po() const {
-  for (int po : n_.primary_outputs()) {
-    const NodeVal& v = vals_[po];
-    if (v.good != V::kX && v.faulty != V::kX && v.good != v.faulty)
-      return true;
-  }
+  for (int po : cone_pos_)
+    if (effect(vals_[po])) return true;
   return false;
 }
 
-bool Podem::x_path_exists(const std::vector<Fault>& sites) const {
+bool Podem::x_path_exists(const std::vector<Fault>& sites) {
   // BFS from nodes carrying (or still capable of carrying) a fault effect
   // through X-valued nodes to a PO. A fault site whose composite value is
   // still X is a potential effect source — for a pin fault the divergence
   // lives inside the gate and only shows once the good value resolves.
-  std::vector<char> po_mark(n_.num_nodes(), 0);
-  for (int po : n_.primary_outputs()) po_mark[po] = 1;
-  std::vector<char> visited(n_.num_nodes(), 0);
-  std::deque<int> queue;
-  for (int id = 0; id < n_.num_nodes(); ++id) {
-    const NodeVal& v = vals_[id];
-    const bool effect =
-        v.good != V::kX && v.faulty != V::kX && v.good != v.faulty;
-    if (effect) {
-      if (po_mark[id]) return true;
-      queue.push_back(id);
-      visited[id] = 1;
-    }
-  }
-  for (const Fault& f : sites) {
-    const NodeVal& v = vals_[f.node];
-    if (visited[f.node]) continue;
-    if (v.good == V::kX || v.faulty == V::kX) {
-      if (po_mark[f.node]) return true;
-      queue.push_back(f.node);
-      visited[f.node] = 1;
-    }
-  }
-  const auto& fanouts = n_.fanouts();
-  while (!queue.empty()) {
-    const int id = queue.front();
-    queue.pop_front();
-    for (int s : fanouts[id]) {
-      if (visited[s]) continue;
-      const NodeVal& v = vals_[s];
+  // Effects live only in the fault cone, and the BFS never leaves it.
+  const std::uint8_t* flags = g_.flags();
+  const int mark = next_mark();
+  queue_.clear();
+  auto reach = [&](int id) {
+    mark_[id] = mark;
+    queue_.push_back(id);
+    return (flags[id] & SimGraph::kFlagPo) != 0;
+  };
+  for (int id : cone_)
+    if (effect(vals_[id]) && reach(id)) return true;
+  for (const Fault& f : sites)
+    if (mark_[f.node] != mark && !known(vals_[f.node]) && reach(f.node))
+      return true;
+  const std::int32_t* foff = g_.fanout_off();
+  const std::int32_t* fo = g_.fanout();
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const int id = queue_[head];
+    for (std::int32_t k = foff[id]; k < foff[id + 1]; ++k) {
+      const int s = fo[k];
+      if (mark_[s] == mark) continue;
       // Propagation possible only through nodes still X on some plane.
-      if (v.good != V::kX && v.faulty != V::kX && v.good == v.faulty)
-        continue;
-      visited[s] = 1;
-      if (po_mark[s]) return true;
-      queue.push_back(s);
+      const Bits v = vals_[s];
+      if (known(v) && !effect(v)) continue;
+      if (reach(s)) return true;
     }
   }
   return false;
@@ -220,13 +291,9 @@ bool Podem::x_path_exists(const std::vector<Fault>& sites) const {
 
 bool Podem::next_assignment(const std::vector<Fault>& sites, int* pi_node,
                             V* pi_value) const {
-  int node = -1;
-  V value = V::kX;
   auto try_objective = [&](int obj_node, V obj_value) {
     return backtrace(obj_node, obj_value, pi_node, pi_value);
   };
-  (void)node;
-  (void)value;
   // Activation first: the line each fault sits on must carry the opposite
   // of the stuck value in the good machine.
   for (const Fault& f : sites) {
@@ -237,7 +304,7 @@ bool Podem::next_assignment(const std::vector<Fault>& sites, int* pi_node,
     // A line without an assignable PI in its cone can never be justified
     // (e.g. the frame-0 replica over a pinned unknown state): try the
     // fault's other frames/sites instead.
-    if (vals_[line].good == V::kX && assignable_cone_[line] &&
+    if (good(line) == V::kX && assignable_cone_[line] &&
         try_objective(line, need))
       return true;
   }
@@ -247,12 +314,11 @@ bool Podem::next_assignment(const std::vector<Fault>& sites, int* pi_node,
   // NODES agree on both planes).
   for (const Fault& f : sites) {
     if (f.fanin_index < 0) continue;
-    const NodeVal& out = vals_[f.node];
-    if (out.good != V::kX && out.faulty != V::kX) continue;
+    if (known(vals_[f.node])) continue;
     const Node& site = n_.node(f.node);
     for (std::size_t i = 0; i < site.fanins.size(); ++i) {
       if (static_cast<int>(i) == f.fanin_index) continue;
-      if (vals_[site.fanins[i]].good != V::kX) continue;
+      if (good(site.fanins[i]) != V::kX) continue;
       if (!assignable_cone_[site.fanins[i]]) continue;
       V target = controlling_value(site.type);
       target = target == V::kX ? V::k0 : !target;
@@ -260,24 +326,21 @@ bool Podem::next_assignment(const std::vector<Fault>& sites, int* pi_node,
     }
   }
   // Propagation: pick a D-frontier gate, set one X input to the
-  // non-controlling value.
-  for (int id : n_.topo_order()) {
-    const Node& g = n_.node(id);
-    if (g.fanins.empty()) continue;
-    const NodeVal& out = vals_[id];
-    if (out.good != V::kX && out.faulty != V::kX) continue;  // already set
+  // non-controlling value. Frontier gates have an effect on a fanin, so
+  // they all lie in the fault cone.
+  for (int id : cone_) {
+    const std::int32_t* fin = g_.fanin() + g_.fanin_off()[id];
+    const int num = g_.num_fanins(id);
+    if (num == 0) continue;
+    if (known(vals_[id])) continue;  // already set
     bool has_effect_input = false;
-    for (int f : g.fanins) {
-      const NodeVal& v = vals_[f];
-      if (v.good != V::kX && v.faulty != V::kX && v.good != v.faulty)
-        has_effect_input = true;
-    }
+    for (int i = 0; i < num; ++i)
+      if (effect(vals_[fin[i]])) has_effect_input = true;
     if (!has_effect_input) continue;
-    for (std::size_t i = 0; i < g.fanins.size(); ++i) {
-      const NodeVal& v = vals_[g.fanins[i]];
-      if (v.good != V::kX) continue;
-      if (!assignable_cone_[g.fanins[i]]) continue;
-      V target = controlling_value(g.type);
+    for (int i = 0; i < num; ++i) {
+      if (good(fin[i]) != V::kX) continue;
+      if (!assignable_cone_[fin[i]]) continue;
+      V target = controlling_value(g_.type(id));
       if (target == V::kX) {
         // XOR/MUX-like: any defined value unblocks; for a mux select,
         // steer toward the effect leg when recognizable, else pick 0.
@@ -285,7 +348,7 @@ bool Podem::next_assignment(const std::vector<Fault>& sites, int* pi_node,
       } else {
         target = !target;  // non-controlling
       }
-      if (try_objective(g.fanins[i], target)) return true;
+      if (try_objective(fin[i], target)) return true;
     }
   }
   return false;
@@ -307,7 +370,7 @@ bool Podem::backtrace(int node, V value, int* pi_node, V* pi_value) const {
     // Choose an X-valued fanin whose cone contains an assignable PI —
     // under SCOAP guidance, the one cheapest to drive to the target value.
     auto eligible = [&](int f) {
-      return vals_[f].good == V::kX && assignable_cone_[f];
+      return good(f) == V::kX && assignable_cone_[f];
     };
     int chosen = -1;
     if (cc0_.empty()) {
@@ -331,12 +394,12 @@ bool Podem::backtrace(int node, V value, int* pi_node, V* pi_value) const {
     if (chosen < 0) return false;
     // For MUX pursue the select when it is X, else the selected leg.
     if (g.type == GateType::kMux) {
+      const V sel = good(g.fanins[0]);
       if (eligible(g.fanins[0])) {
         chosen = g.fanins[0];
         v = V::k0;
-      } else if (vals_[g.fanins[0]].good != V::kX) {
-        chosen = vals_[g.fanins[0]].good == V::k0 ? g.fanins[1]
-                                                  : g.fanins[2];
+      } else if (sel != V::kX) {
+        chosen = sel == V::k0 ? g.fanins[1] : g.fanins[2];
         if (!eligible(chosen)) return false;
       } else {
         return false;  // select is X but pinned: legs cannot be steered
@@ -377,7 +440,7 @@ AtpgResult Podem::generate_multi_from_base(const std::vector<Fault>& sites,
     bool tried_both;
   };
   std::vector<Decision> stack;
-  imply(sites);
+  begin_target(sites);
 
   AtpgResult result;
   for (;;) {
@@ -394,8 +457,8 @@ AtpgResult Podem::generate_multi_from_base(const std::vector<Fault>& sites,
                            ? f.node
                            : n_.node(f.node).fanins[f.fanin_index];
       const V need = f.stuck_at_one ? V::k0 : V::k1;
-      if (vals_[line].good == need) activated = true;
-      if (vals_[line].good != !need) activation_possible = true;
+      if (good(line) == need) activated = true;
+      if (good(line) != !need) activation_possible = true;
     }
     if (!activated && !activation_possible) {
       need_backtrack = true;
@@ -411,7 +474,7 @@ AtpgResult Podem::generate_multi_from_base(const std::vector<Fault>& sites,
 
     if (!need_backtrack) {
       ++stats_.decisions;
-      pi_assignment_[pi] = pi_val;
+      assign(pi, pi_val);
       stack.push_back({pi, false});
       imply(sites);
       continue;
@@ -431,11 +494,11 @@ AtpgResult Podem::generate_multi_from_base(const std::vector<Fault>& sites,
           goto done;
         }
         d.tried_both = true;
-        pi_assignment_[d.pi_node] = !pi_assignment_[d.pi_node];
+        assign(d.pi_node, !pi_assignment_[d.pi_node]);
         imply(sites);
         break;
       }
-      pi_assignment_[d.pi_node] = V::kX;
+      assign(d.pi_node, V::kX);
       stack.pop_back();
     }
   }

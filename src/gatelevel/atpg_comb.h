@@ -5,6 +5,13 @@
 // (§3.1: ATPG effort vs loop length and sequential depth) is measured with
 // these counters. Multi-site targets (the same fault replicated across time
 // frames) support the sequential engine in atpg_seq.h.
+//
+// Implication is event-driven on the netlist's SimGraph: one full pass per
+// target, then each decision, flip or unassignment re-evaluates only the
+// gates whose fanin values it changed. The x-path check and the D-frontier
+// scan stay inside the target's fault cone. Neither changes a single search
+// step, so the effort counters are exactly those of a search that
+// re-evaluates the whole netlist per decision.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +20,7 @@
 #include "gatelevel/faults.h"
 #include "gatelevel/faultsim.h"
 #include "gatelevel/netlist.h"
+#include "gatelevel/simgraph.h"
 
 namespace tsyn::gl {
 
@@ -74,14 +82,20 @@ class Podem {
   void use_scoap_guidance(bool enable);
 
  private:
-  struct NodeVal {
-    V good = V::kX;
-    V faulty = V::kX;
-  };
-
+  /// Per-target setup: marks the site nodes, collects the fault cone and
+  /// runs the one full implication pass.
+  void begin_target(const std::vector<Fault>& sites);
+  /// Sets a PI's assignment and queues it for the next imply().
+  void assign(int pi, V value);
+  /// Event-driven implication: re-evaluates the queued PIs and, level by
+  /// level, the fanouts of every node whose good or faulty value changed.
   void imply(const std::vector<Fault>& sites);
+  /// Good/faulty value of `id` from its current fanin values, with the
+  /// target's pin and output overrides applied.
+  Bits eval(int id, const std::vector<Fault>& sites) const;
+  V good(int id) const;
   bool detected_at_po() const;
-  bool x_path_exists(const std::vector<Fault>& sites) const;
+  bool x_path_exists(const std::vector<Fault>& sites);
   /// Finds the next PI assignment: enumerates candidate objectives
   /// (activation sites, pin-fault side inputs, D-frontier inputs) and
   /// returns the first whose backtrace reaches an assignable PI.
@@ -91,18 +105,40 @@ class Podem {
   bool backtrace(int node, V value, int* pi_node, V* pi_value) const;
 
   void rebuild_assignable_cones();
+  /// Advances the visit epoch of mark_, clearing it on wrap-around.
+  int next_mark();
 
   const Netlist& n_;
-  std::vector<NodeVal> vals_;
+  const SimGraph& g_;
+  /// Node values on two lanes of Bits: lane 0 the good machine, lane 1
+  /// the faulty machine (eval_gate evaluates both at once).
+  std::vector<Bits> vals_;
   std::vector<V> pi_assignment_;   // by node id
   std::vector<char> frozen_;       // by node id
-  std::vector<int> pi_position_;   // node id -> PI position
   /// Node has an assignable (non-frozen) PI in its transitive fanin — the
   /// backtrace only descends into such cones.
   std::vector<char> assignable_cone_;
   /// SCOAP guidance (optional): cc0_/cc1_ empty when disabled.
   std::vector<int> cc0_;
   std::vector<int> cc1_;
+  std::vector<int> topo_pos_;      // node id -> Netlist::topo_order() index
+  /// Site nodes of the current target carry its number here.
+  std::vector<int> site_stamp_;
+  int target_ = 0;
+  /// Transitive fanout of the current target's sites in topo_order()
+  /// order, and the primary outputs among them. Outside the cone the good
+  /// and faulty planes agree, so effect searches never leave it.
+  std::vector<int> cone_;
+  std::vector<int> cone_pos_;
+  std::vector<int> pending_;       // PIs reassigned since the last imply()
+  /// imply()'s per-level worklists, deduplicated by epoch stamps.
+  std::vector<int> sched_stamp_, lvl_stamp_;
+  std::vector<std::vector<int>> lvl_nodes_;
+  int epoch_ = 0;
+  /// Visit stamps and queue shared by the cone walk and x_path_exists.
+  std::vector<int> mark_;
+  std::vector<int> queue_;
+  int mark_epoch_ = 0;
   AtpgStats stats_;
 };
 

@@ -1,6 +1,7 @@
 #include "gatelevel/atpg_seq.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "gatelevel/faultsim.h"
@@ -103,33 +104,89 @@ namespace {
 // D fanin of a frame's DFF must reference the PREVIOUS frame, which the
 // unroll above already handles; combinational nodes see same-frame fanins.
 
-SeqAtpgResult try_frames(const Netlist& n, const Fault& fault, int frames,
-                         long backtrack_limit,
-                         const std::vector<V>* initial_state) {
-  const Unrolled u = unroll(n, frames, initial_state);
-  Podem podem(u.net);
-  podem.freeze_inputs(u.frozen_pi_positions);
-  const std::vector<Fault> sites = u.map_fault(fault);
-  SeqAtpgResult r;
-  if (sites.empty()) {
-    r.status = AtpgStatus::kUntestable;
+/// The unrolled circuit of each frame count with its PODEM engine, built on
+/// first use and reused for every later fault. Podem resets its assignment
+/// and counters per target, so reuse changes no result.
+class FrameEngines {
+ public:
+  FrameEngines(const Netlist& n, const std::vector<V>* initial_state)
+      : n_(n), initial_state_(initial_state) {}
+
+  /// Tries min_frames..max_frames frames until the fault is detected.
+  SeqAtpgResult generate(const Fault& fault, int max_frames,
+                         long backtrack_limit, int min_frames) {
+    SeqAtpgResult best;
+    AtpgStats accumulated;
+    for (int frames = std::max(min_frames, 1); frames <= max_frames;
+         ++frames) {
+      SeqAtpgResult r = try_frames(fault, frames, backtrack_limit);
+      accumulated.decisions += r.stats.decisions;
+      accumulated.backtracks += r.stats.backtracks;
+      accumulated.implications += r.stats.implications;
+      if (r.status == AtpgStatus::kDetected) {
+        r.stats = accumulated;
+        return r;
+      }
+      best = r;
+    }
+    best.stats = accumulated;
+    // Exhausting the frame budget without proof of untestability is an
+    // abort (more frames might succeed).
+    if (best.status == AtpgStatus::kUntestable && max_frames > 0)
+      best.status = AtpgStatus::kAborted;
+    return best;
+  }
+
+ private:
+  struct Engine {
+    explicit Engine(Unrolled unrolled)
+        : u(std::move(unrolled)), podem(u.net) {
+      podem.freeze_inputs(u.frozen_pi_positions);
+    }
+    Engine(const Engine&) = delete;
+    Engine& operator=(const Engine&) = delete;
+    Unrolled u;
+    Podem podem;  // holds a reference to u.net
+  };
+
+  Engine& engine(int frames) {
+    if (static_cast<int>(by_frames_.size()) <= frames)
+      by_frames_.resize(frames + 1);
+    if (!by_frames_[frames])
+      by_frames_[frames] =
+          std::make_unique<Engine>(unroll(n_, frames, initial_state_));
+    return *by_frames_[frames];
+  }
+
+  SeqAtpgResult try_frames(const Fault& fault, int frames,
+                           long backtrack_limit) {
+    Engine& e = engine(frames);
+    const std::vector<Fault> sites = e.u.map_fault(fault);
+    SeqAtpgResult r;
+    if (sites.empty()) {
+      r.status = AtpgStatus::kUntestable;
+      return r;
+    }
+    const AtpgResult a = e.podem.generate_multi(sites, backtrack_limit);
+    r.status = a.status;
+    r.frames_used = frames;
+    r.stats = a.stats;
+    if (a.status == AtpgStatus::kDetected) {
+      r.frame_inputs.assign(
+          frames, std::vector<V>(n_.primary_inputs().size(), V::kX));
+      for (int fr = 0; fr < frames; ++fr)
+        for (std::size_t p = 0; p < n_.primary_inputs().size(); ++p) {
+          const int pos = e.u.pi_map[fr][p];
+          if (pos >= 0) r.frame_inputs[fr][p] = a.pi_values[pos];
+        }
+    }
     return r;
   }
-  const AtpgResult a = podem.generate_multi(sites, backtrack_limit);
-  r.status = a.status;
-  r.frames_used = frames;
-  r.stats = a.stats;
-  if (a.status == AtpgStatus::kDetected) {
-    r.frame_inputs.assign(frames,
-                          std::vector<V>(n.primary_inputs().size(), V::kX));
-    for (int fr = 0; fr < frames; ++fr)
-      for (std::size_t p = 0; p < n.primary_inputs().size(); ++p) {
-        const int pos = u.pi_map[fr][p];
-        if (pos >= 0) r.frame_inputs[fr][p] = a.pi_values[pos];
-      }
-  }
-  return r;
-}
+
+  const Netlist& n_;
+  const std::vector<V>* initial_state_;
+  std::vector<std::unique_ptr<Engine>> by_frames_;  // by frame count
+};
 
 }  // namespace
 
@@ -137,27 +194,8 @@ SeqAtpgResult sequential_atpg(const Netlist& n, const Fault& fault,
                               int max_frames, long backtrack_limit,
                               const std::vector<V>* initial_state,
                               int min_frames) {
-  SeqAtpgResult best;
-  AtpgStats accumulated;
-  for (int frames = std::max(min_frames, 1); frames <= max_frames;
-       ++frames) {
-    SeqAtpgResult r =
-        try_frames(n, fault, frames, backtrack_limit, initial_state);
-    accumulated.decisions += r.stats.decisions;
-    accumulated.backtracks += r.stats.backtracks;
-    accumulated.implications += r.stats.implications;
-    if (r.status == AtpgStatus::kDetected) {
-      r.stats = accumulated;
-      return r;
-    }
-    best = r;
-  }
-  best.stats = accumulated;
-  // Exhausting the frame budget without proof of untestability is an abort
-  // (more frames might succeed).
-  if (best.status == AtpgStatus::kUntestable && max_frames > 0)
-    best.status = AtpgStatus::kAborted;
-  return best;
+  return FrameEngines(n, initial_state)
+      .generate(fault, max_frames, backtrack_limit, min_frames);
 }
 
 SeqAtpgCampaign run_sequential_atpg(const Netlist& n,
@@ -171,10 +209,11 @@ SeqAtpgCampaign run_sequential_atpg(const Netlist& n,
   p_targets.add_total(static_cast<std::int64_t>(faults.size()));
   SeqAtpgCampaign c;
   std::vector<bool> handled(faults.size(), false);
+  FrameEngines engines(n, nullptr);
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
     if (handled[fi]) continue;
     const SeqAtpgResult r =
-        sequential_atpg(n, faults[fi], max_frames, backtrack_limit);
+        engines.generate(faults[fi], max_frames, backtrack_limit, 1);
     c.total.decisions += r.stats.decisions;
     c.total.backtracks += r.stats.backtracks;
     c.total.implications += r.stats.implications;

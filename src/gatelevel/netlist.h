@@ -134,8 +134,9 @@ class Netlist {
 
 /// Evaluates one combinational gate from fanin values: the only copy of
 /// the three-valued gate formulas. Header-inline so the simulation hot
-/// loops (simulate_frame, FaultPropagator, sequential_fault_sim) fold the
-/// whole evaluation into one switch instead of an out-of-line call.
+/// loops (simulate_frame, FaultPropagator, sequential_fault_sim, PODEM's
+/// implication) fold the whole evaluation into one switch instead of an
+/// out-of-line call.
 inline Bits eval_gate(GateType type, const Bits* in, int num_fanins) {
   auto and2 = [](Bits a, Bits b) {
     Bits r;

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "cdfg/benchmarks.h"
+#include "compaction/compaction.h"
 #include "gatelevel/atpg_comb.h"
 #include "gatelevel/atpg_seq.h"
 #include "gatelevel/expand.h"
 #include "gatelevel/faultsim.h"
+#include "hls/synthesis.h"
+#include "util/hash.h"
 
 namespace tsyn::gl {
 namespace {
@@ -217,6 +223,111 @@ TEST(SeqAtpg, CampaignOnResettableCounter) {
   const SeqAtpgCampaign c = run_sequential_atpg(n, faults, 8, 4000);
   EXPECT_GT(c.fault_coverage, 0.5);
   EXPECT_GT(c.total.decisions, 0);
+}
+
+// ---- search-trajectory regression ----
+//
+// PODEM's effort counters are the quantity the survey's empirical law is
+// measured with, so an engine change may make the search cheaper per step
+// but must not change a single step. The totals and digests below were
+// recorded with the full-sweep implication engine (every decision
+// re-evaluating the whole netlist) and are never re-recorded: any drift in
+// decision order, implication count, cube or status shows up here.
+
+/// Gate-level expansion of a behavior at allocation a2m2; every register
+/// scanned when `full_scan`, none otherwise.
+Netlist expand_a2m2(const cdfg::Cdfg& g, int width, bool full_scan) {
+  hls::SynthesisOptions opts;
+  opts.resources = hls::Resources{{cdfg::FuType::kAlu, 2},
+                                  {cdfg::FuType::kMultiplier, 2}};
+  hls::Synthesis syn = hls::synthesize(g, opts);
+  rtl::Datapath dp = syn.rtl.datapath;
+  if (full_scan)
+    for (auto& reg : dp.regs) reg.test_kind = rtl::TestRegKind::kScan;
+  ExpandOptions x;
+  x.width_override = width;
+  return expand_datapath(dp, x).netlist;
+}
+
+util::Fnv1a& fold_cube(util::Fnv1a& h, const std::vector<V>& cube) {
+  h.i64(static_cast<std::int64_t>(cube.size()));
+  for (V v : cube) h.i64(static_cast<std::int64_t>(v));
+  return h;
+}
+
+/// Digest of a campaign's cubes (in generation order) and statuses.
+std::uint64_t campaign_digest(const AtpgCampaign& c) {
+  util::Fnv1a h;
+  h.i64(static_cast<std::int64_t>(c.tests.size()));
+  for (const auto& cube : c.tests) fold_cube(h, cube);
+  for (AtpgStatus s : c.status) h.i64(static_cast<std::int64_t>(s));
+  return h.value();
+}
+
+long count_detected(const AtpgCampaign& c) {
+  return static_cast<long>(
+      std::count(c.status.begin(), c.status.end(), AtpgStatus::kDetected));
+}
+
+TEST(PodemTrajectory, DiffeqFullScanCampaign) {
+  const Netlist n = expand_a2m2(cdfg::diffeq(), 8, true);
+  const AtpgCampaign c = run_combinational_atpg(n, enumerate_faults(n));
+  EXPECT_EQ(c.total.decisions, 1244);
+  EXPECT_EQ(c.total.backtracks, 916);
+  EXPECT_EQ(c.total.implications, 2201);
+  EXPECT_EQ(c.tests.size(), 17u);
+  EXPECT_EQ(count_detected(c), 3195);
+  EXPECT_EQ(campaign_digest(c), 2856237883908495894ull);
+}
+
+TEST(PodemTrajectory, EwfFullScanCampaignReachesAborts) {
+  const Netlist n = expand_a2m2(cdfg::ewf(), 8, true);
+  const AtpgCampaign c = run_combinational_atpg(n, enumerate_faults(n));
+  EXPECT_EQ(c.total.decisions, 24561);
+  EXPECT_EQ(c.total.backtracks, 24186);
+  EXPECT_EQ(c.total.implications, 48783);
+  EXPECT_EQ(c.tests.size(), 22u);
+  EXPECT_EQ(count_detected(c), 6406);
+  EXPECT_GT(std::count(c.status.begin(), c.status.end(),
+                       AtpgStatus::kAborted),
+            0);
+  EXPECT_EQ(campaign_digest(c), 10334189302855866355ull);
+}
+
+TEST(PodemTrajectory, DiffeqDynamicCompactionFromBase) {
+  const Netlist n = expand_a2m2(cdfg::diffeq(), 8, true);
+  compaction::CompactionOptions copts;
+  copts.mode = compaction::CompactMode::kDynamic;
+  const compaction::CompactedCampaign c =
+      compaction::run_compacted_atpg(n, enumerate_faults(n), copts);
+  EXPECT_EQ(c.campaign.total.decisions, 36551);
+  EXPECT_EQ(c.campaign.total.backtracks, 35319);
+  EXPECT_EQ(c.campaign.total.implications, 73232);
+  EXPECT_EQ(c.stats.cubes_generated, 26);
+  EXPECT_EQ(c.stats.secondary_merged, 150);
+  EXPECT_EQ(campaign_digest(c.campaign), 4001466556628244607ull);
+}
+
+TEST(PodemTrajectory, DiffeqSequentialNoScan) {
+  const Netlist n = expand_a2m2(cdfg::diffeq(), 2, false);
+  std::vector<Fault> faults = enumerate_faults(n);
+  faults.resize(60);
+  const SeqAtpgCampaign c = run_sequential_atpg(n, faults, 4, 200);
+  EXPECT_EQ(c.total.decisions, 19473);
+  EXPECT_EQ(c.total.backtracks, 17503);
+  EXPECT_EQ(c.total.implications, 37087);
+  EXPECT_EQ(c.detected, 17);
+  // The per-fault entry point over the same faults: multi-site targets
+  // with frozen frame-0 state, every sequence and status folded in.
+  util::Fnv1a h;
+  for (const Fault& f : faults) {
+    const SeqAtpgResult r = sequential_atpg(n, f, 4, 200);
+    h.i64(static_cast<std::int64_t>(r.status)).i64(r.frames_used);
+    h.i64(r.stats.decisions).i64(r.stats.backtracks);
+    h.i64(r.stats.implications);
+    for (const auto& frame : r.frame_inputs) fold_cube(h, frame);
+  }
+  EXPECT_EQ(h.value(), 13652884571303013755ull);
 }
 
 }  // namespace
