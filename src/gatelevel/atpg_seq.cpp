@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "gatelevel/faultsim.h"
+#include "gatelevel/simgraph.h"
+#include "observe/ledger.h"
 #include "util/metrics.h"
 #include "util/telemetry.h"
+#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace tsyn::gl {
@@ -208,12 +212,42 @@ SeqAtpgCampaign run_sequential_atpg(const Netlist& n,
   static util::Progress& p_targets = util::progress("atpg.targets");
   p_targets.add_total(static_cast<std::int64_t>(faults.size()));
   SeqAtpgCampaign c;
+  const int count = static_cast<int>(faults.size());
+  // A target computed ahead of the commit cursor for a fault that an
+  // earlier commit then drops would post a ledger event the serial campaign
+  // never makes, so a recorded campaign runs on one worker.
+  const int threads =
+      observe::ledger_enabled()
+          ? 1
+          : std::max(1, std::min(sim_options.resolved_threads(), count));
+  // The netlist's lazy caches (topo order, fanouts, SimGraph) are built
+  // here, before any worker reads them.
+  (void)SimGraph::of(n);
+  // Grading runs inside a pool job, which must not start another batch.
+  FaultSimOptions grade_options = sim_options;
+  grade_options.num_threads = 1;
+
+  // Workers take faults in ascending order and run PODEM on their own
+  // engines; commits happen strictly in fault order under `mu`. At each
+  // commit `handled` holds exactly what the serial loop would have seen,
+  // and Podem resets per target, so every result equals the serial
+  // campaign's whichever worker computed it. One worker runs inline and
+  // makes exactly the serial loop's PODEM calls.
+  enum : char { kPending, kSkipped, kComputed };
+  std::vector<char> state(faults.size(), kPending);
   std::vector<bool> handled(faults.size(), false);
-  FrameEngines engines(n, nullptr);
-  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-    if (handled[fi]) continue;
-    const SeqAtpgResult r =
-        engines.generate(faults[fi], max_frames, backtrack_limit, 1);
+  std::vector<SeqAtpgResult> results(faults.size());
+  std::size_t next = 0;    // next fault to claim
+  std::size_t cursor = 0;  // next fault to commit
+  long discarded = 0;
+  std::mutex mu;  // guards all of the above and `c`
+
+  auto commit = [&](std::size_t fi) {
+    if (handled[fi]) {
+      if (state[fi] == kComputed) ++discarded;
+      return;
+    }
+    const SeqAtpgResult r = std::move(results[fi]);
     c.total.decisions += r.stats.decisions;
     c.total.backtracks += r.stats.backtracks;
     c.total.implications += r.stats.implications;
@@ -244,7 +278,7 @@ SeqAtpgCampaign run_sequential_atpg(const Netlist& n,
             remaining_idx.push_back(j);
           }
         const std::vector<bool> hit =
-            sequential_fault_sim(n, frames_bits, remaining, sim_options);
+            sequential_fault_sim(n, frames_bits, remaining, grade_options);
         for (std::size_t k = 0; k < remaining.size(); ++k)
           if (hit[k]) {
             handled[remaining_idx[k]] = true;
@@ -260,7 +294,33 @@ SeqAtpgCampaign run_sequential_atpg(const Netlist& n,
         ++c.aborted;
         break;
     }
-  }
+  };
+
+  // Each participant claims faults in ascending order until none is left,
+  // on engines it builds and frees on its own thread. Engines kept per pool
+  // slot and freed by the caller afterwards slowed the caller's next
+  // allocations (e2ebench partial_scan_seq setup_s read about 40% higher).
+  util::ThreadPool::shared().run(threads, threads, [&](int, int) {
+    FrameEngines engines(n, nullptr);
+    for (;;) {
+      std::size_t i;
+      bool skip;
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        if (next == faults.size()) return;
+        i = next++;
+        skip = handled[i];
+      }
+      if (!skip)
+        results[i] =
+            engines.generate(faults[i], max_frames, backtrack_limit, 1);
+      std::lock_guard<std::mutex> lk(mu);
+      state[i] = skip ? kSkipped : kComputed;
+      while (cursor < faults.size() && state[cursor] != kPending)
+        commit(cursor++);
+    }
+  });
+
   const double total = static_cast<double>(faults.size());
   c.fault_coverage = total == 0 ? 1.0 : c.detected / total;
   c.fault_efficiency =
@@ -276,12 +336,15 @@ SeqAtpgCampaign run_sequential_atpg(const Netlist& n,
   static util::Counter& untestable =
       util::metrics().counter("atpg.seq.untestable");
   static util::Counter& aborted = util::metrics().counter("atpg.seq.aborted");
+  static util::Counter& discarded_targets =
+      util::metrics().counter("atpg.seq.discarded");
   decisions.add(c.total.decisions);
   backtracks.add(c.total.backtracks);
   implications.add(c.total.implications);
   detected.add(c.detected);
   untestable.add(c.untestable);
   aborted.add(c.aborted);
+  discarded_targets.add(discarded);
   return c;
 }
 

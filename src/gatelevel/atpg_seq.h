@@ -66,8 +66,12 @@ struct SeqAtpgCampaign {
   double fault_efficiency = 0;
 };
 
-/// `sim_options` controls the reverse-order grading simulator that drops
-/// other faults caught by each generated sequence.
+/// `sim_options.num_threads` sets the campaign's worker count: PODEM
+/// targets run on that many pool workers and commit in fault order, so
+/// every count and status equals the serial campaign's at any thread
+/// count. With the fault ledger on the campaign runs on one worker. The
+/// grading simulation that drops other faults caught by each generated
+/// sequence runs inside a commit, on one thread.
 SeqAtpgCampaign run_sequential_atpg(const Netlist& n,
                                     const std::vector<Fault>& faults,
                                     int max_frames = 12,

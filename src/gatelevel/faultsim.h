@@ -33,10 +33,12 @@ namespace tsyn::gl {
 
 /// Knobs shared by every fault-simulation entry point.
 struct FaultSimOptions {
-  /// Worker threads the fault list is spread over. 0 = one per hardware
-  /// thread; 1 = serial, bit-identical to the single-threaded engine (the
-  /// parallel path is deterministic too — faults are independent — but 1
-  /// also avoids touching the pool entirely).
+  /// Worker threads the fault list is spread over: the fault-simulation
+  /// engines' faults, and run_sequential_atpg's PODEM targets. 0 = one per
+  /// hardware thread; 1 = serial, inline on the calling thread without
+  /// touching the pool. Results never depend on it: fault simulation
+  /// because faults are independent, the sequential campaign because it
+  /// commits targets in fault order.
   int num_threads = 0;
 
   /// num_threads with 0 resolved to the hardware parallelism (>= 1).

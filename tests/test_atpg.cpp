@@ -9,7 +9,10 @@
 #include "gatelevel/expand.h"
 #include "gatelevel/faultsim.h"
 #include "hls/synthesis.h"
+#include "observe/ledger.h"
+#include "testability/scan_select.h"
 #include "util/hash.h"
+#include "util/metrics.h"
 
 namespace tsyn::gl {
 namespace {
@@ -329,6 +332,108 @@ TEST(PodemTrajectory, DiffeqSequentialNoScan) {
   }
   EXPECT_EQ(h.value(), 13652884571303013755ull);
 }
+
+// ---- parallel sequential campaign ----
+//
+// run_sequential_atpg runs PODEM targets on every worker and commits them in
+// fault order, so a campaign must equal the serial loop at any thread count.
+// The points are the end-to-end benchmark's partial-scan experiment: a2m2,
+// 2-bit words, no scan or MFVS scan, the first 60 faults, 4 frames, limit
+// 200. The pinned totals were recorded with the serial campaign loop.
+
+/// One sequential design point at a2m2 and width 2, MFVS-scanned or not.
+Netlist expand_seq_point(const cdfg::Cdfg& g, bool mfvs) {
+  if (!mfvs) return expand_a2m2(g, 2, false);
+  hls::SynthesisOptions opts;
+  opts.resources = hls::Resources{{cdfg::FuType::kAlu, 2},
+                                  {cdfg::FuType::kMultiplier, 2}};
+  hls::Synthesis syn = hls::synthesize(g, opts);
+  rtl::Datapath dp = syn.rtl.datapath;
+  testability::apply_scan(g, syn.binding,
+                          testability::select_scan_vars_mfvs(g), dp);
+  ExpandOptions x;
+  x.width_override = 2;
+  return expand_datapath(dp, x).netlist;
+}
+
+std::vector<Fault> first_faults(const Netlist& n, std::size_t count) {
+  std::vector<Fault> faults = enumerate_faults(n);
+  if (faults.size() > count) faults.resize(count);
+  return faults;
+}
+
+TEST(SeqAtpgParallel, ThreadCountInvariantOnBenchmarkPoints) {
+  struct Point {
+    cdfg::Cdfg g;
+    bool mfvs;
+    long decisions, backtracks, implications, detected, aborted;
+  };
+  const Point points[] = {
+      {cdfg::diffeq(), false, 19473, 17503, 37087, 17, 43},
+      {cdfg::diffeq(), true, 20540, 18165, 38761, 30, 30},
+      {cdfg::iir_biquad(), false, 24629, 22427, 47181, 4, 56},
+      {cdfg::iir_biquad(), true, 23838, 21822, 45737, 18, 42},
+      {cdfg::ar_lattice(4), false, 27661, 24430, 52191, 8, 52},
+      {cdfg::ar_lattice(4), true, 25747, 22904, 48712, 21, 39},
+  };
+  const util::Histogram& frames_used =
+      util::metrics().histogram("atpg.seq.frames_used");
+  const util::Counter& discarded =
+      util::metrics().counter("atpg.seq.discarded");
+  for (const Point& p : points) {
+    SCOPED_TRACE(p.g.name() + (p.mfvs ? " mfvs" : " none"));
+    const Netlist n = expand_seq_point(p.g, p.mfvs);
+    const std::vector<Fault> faults = first_faults(n, 60);
+    std::int64_t serial_frames = -1;
+    // A commit out of fault order changes the totals only when a dropped
+    // fault's target finishes first, so each parallel count runs 3 times.
+    for (int threads : {1, 2, 4, 8, 2, 4, 8, 2, 4, 8}) {
+      SCOPED_TRACE("num_threads " + std::to_string(threads));
+      FaultSimOptions sim;
+      sim.num_threads = threads;
+      const std::int64_t frames0 = frames_used.read().sum;
+      const std::int64_t discarded0 = discarded.read();
+      const SeqAtpgCampaign c = run_sequential_atpg(n, faults, 4, 200, sim);
+      EXPECT_EQ(c.total.decisions, p.decisions);
+      EXPECT_EQ(c.total.backtracks, p.backtracks);
+      EXPECT_EQ(c.total.implications, p.implications);
+      EXPECT_EQ(c.detected, p.detected);
+      EXPECT_EQ(c.untestable, 0);
+      EXPECT_EQ(c.aborted, p.aborted);
+      const std::int64_t frames = frames_used.read().sum - frames0;
+      if (threads == 1) {
+        serial_frames = frames;
+        // One worker makes exactly the serial loop's PODEM calls.
+        EXPECT_EQ(discarded.read() - discarded0, 0);
+      }
+      EXPECT_EQ(frames, serial_frames);
+    }
+  }
+}
+
+#ifndef TSYN_LEDGER_NOOP
+TEST(SeqAtpgParallel, LedgerJsonIdenticalAtAnyThreadCount) {
+  // A speculative target that a later commit discards would add a targeted
+  // event, so a campaign with the ledger on runs on one worker.
+  const Netlist n = expand_a2m2(cdfg::diffeq(), 2, false);
+  const std::vector<Fault> faults = first_faults(n, 60);
+  auto ledger_json = [&](int threads) {
+    FaultSimOptions sim;
+    sim.num_threads = threads;
+    observe::ledger_reset();
+    observe::ledger_enable();
+    (void)run_sequential_atpg(n, faults, 4, 200, sim);
+    observe::ledger_disable();
+    std::string json = observe::ledger_to_json();
+    observe::ledger_reset();
+    return json;
+  };
+  const std::string serial = ledger_json(1);
+  // Every PODEM call of the serial campaign is recorded once.
+  EXPECT_NE(serial.find("\"decisions\": 19473,"), std::string::npos);
+  EXPECT_EQ(ledger_json(4), serial);
+}
+#endif  // TSYN_LEDGER_NOOP
 
 }  // namespace
 }  // namespace tsyn::gl
